@@ -195,7 +195,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_GEN_NEEDS = {"path": ("n",), "grid": ("m", "n"), "random-tree": ("n",), "product": ("a", "b")}
+
+
 def cmd_gen(args) -> int:
+    missing = [f"--{name}" for name in _GEN_NEEDS.get(args.kind, ()) if getattr(args, name) in (None, "")]
+    if missing:
+        raise GraphError(f"gen --kind {args.kind} needs {' and '.join(missing)}")
     if args.kind == "path":
         g = path_graph(args.n)
     elif args.kind == "grid":
@@ -203,8 +209,6 @@ def cmd_gen(args) -> int:
     elif args.kind == "random-tree":
         g = random_tree(args.n, args.seed)
     elif args.kind == "product":
-        if not args.a or not args.b:
-            raise GraphError("gen --kind product needs --a and --b")
         g = cartesian_product(load_graph_source(args.a), load_graph_source(args.b)).flat
     else:
         raise GraphError(f"unknown kind {args.kind!r}")

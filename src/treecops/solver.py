@@ -28,14 +28,28 @@ placements (0 when the robber must place on a cop).
 Algorithm
 ---------
 
-Retrograde analysis: seed every one-move-capture position at value 1,
-then propagate backwards processing values in nondecreasing order.
-Min-type nodes resolve at their first resolved successor; max-type
-nodes keep an unresolved-successor counter and resolve when it hits
-zero, at which point the current processing value is their maximum.
-The naive oracle recomputes the same fixed point by repeated full
-passes over all states (no canonicalization, no ordering) and is kept
-structurally independent on purpose.
+One level-synchronous pass over Python-int bitmasks of robber vertices
+computes both halves of the recurrence.  For each sorted cop tuple c it
+keeps F[c], the states with the cops to move that are resolved (W, or
+the inner min of V), and R[c], those with the robber to move (V, or
+the inner max of W).  Level 1 sets F[c] = N[cop(c)] minus cop(c).  At
+level t every tuple whose F grew gets R[c] = free(c) minus
+N[free(c) minus F[c]]; the bits R[c'] gained are then pushed to each c
+in M(c') (M is symmetric, so move lists double as predecessor lists)
+and enter F[c] at level t + 1.  The pass stops when no R grows; the
+bits never set are ESCAPE.  N[x] is the closed-neighbourhood dilation,
+read from ceil(n/8) lookup tables of at most 256 masks, one per byte of
+x, built per solve.
+
+A state's value is the level at which its bit appears.  Each half keeps
+the values as bit planes (bit j of the value of (c, r) is bit r of
+plane j of c), so the pass does no per-state work.  The move order only
+selects the half a result exposes, R for robber-first and F for
+cops-first; the other half gives the optimal strategies one-lookup
+replies, and both capture times come from one pass.  The naive oracle
+recomputes the fixed point by repeated full passes over all states (no
+canonicalization, no ordering) and is kept structurally independent on
+purpose.
 
 Inputs are immutable, a solve owns its tables exclusively until it
 returns, and returned results are immutable, so independent solves can
@@ -44,6 +58,7 @@ run concurrently and results can be shared freely.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -62,15 +77,63 @@ from .engine import (
 DEFAULT_STATE_BUDGET = 50_000_000
 DEFAULT_NAIVE_BUDGET = 1_000_000
 
+StateKey = tuple[tuple[int, ...], int]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _Half(Mapping):
+    """One half of a pass as a read-only {(sorted cop tuple, robber): value} map.
+
+    Bit r of ``done[i]`` marks (tuples[i], r) resolved; the other free
+    robber vertices escape.  Bit j of a resolved value is bit r of
+    ``planes[j][i]``, and ``top[i]`` is the largest value of tuple i.
+    """
+
+    tuples: list[tuple[int, ...]]
+    index: dict[tuple[int, ...], int]
+    free: list[int]
+    size: int
+    done: list[int]
+    top: list[int]
+    planes: list[list[int]]
+
+    def __getitem__(self, key: StateKey) -> CaptureValue:
+        cops, r = key
+        i = self.index.get(cops)
+        if i is None or r < 0 or not self.free[i] >> r & 1:
+            raise KeyError(key)
+        if not self.done[i] >> r & 1:
+            return ESCAPE
+        value = 0
+        for j, plane in enumerate(self.planes):
+            if plane[i] >> r & 1:
+                value |= 1 << j
+        return value
+
+    def __iter__(self):
+        for t, free in zip(self.tuples, self.free):
+            for r in range(free.bit_length()):
+                if free >> r & 1:
+                    yield (t, r)
+
+    def __len__(self) -> int:
+        return self.size
+
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Game values for every uncaptured (sorted cop tuple, robber) state."""
+    """Game values for every uncaptured (sorted cop tuple, robber) state.
+
+    ``value`` is the half the move order stores: robber to move for
+    robber-first rounds, cops to move for cops-first rounds.  ``other``
+    is the other half of the same pass; only :func:`solve` fills it.
+    """
 
     graph: Graph
     cop_count: int
     move_order: MoveOrder
-    value: dict[tuple[tuple[int, ...], int], CaptureValue]
+    value: Mapping[StateKey, CaptureValue]
+    other: Mapping[StateKey, CaptureValue] | None = None
 
     def value_of(self, cops: Iterable[int], robber: int) -> CaptureValue:
         key = tuple(sorted(cops))
@@ -134,6 +197,90 @@ def _estimate_pairs(g: Graph, k: int) -> int:
     return int(tuple_count * n * (avg_deg + max_branch))
 
 
+def _retrograde(g: Graph, k: int) -> tuple[_Half, _Half]:
+    """(cops-to-move half, robber-to-move half) of one level-synchronous pass."""
+    n = g.vertex_count
+    closed = _closed_lists(g)
+    tuples, index, _, moves = _cop_configuration_space(g, k, closed)
+    T = len(tuples)
+    near = [sum(1 << u for u in closed[v]) for v in range(n)]
+    tables = []  # tables[j][b] = N[b << 8j]
+    for lo in range(0, n, 8):
+        table = [0]
+        for mask in near[lo:lo + 8]:
+            table += [x | mask for x in table]
+        tables.append(table)
+    width = len(tables)
+    free, first = [], []  # first = F, last = R
+    for t in tuples:
+        cop = cov = 0
+        for c in t:
+            cop |= 1 << c
+            cov |= near[c]
+        free.append(((1 << n) - 1) ^ cop)
+        first.append(cov & ~cop)
+    last = [0] * T
+    top_first, top_last = [1 if f else 0 for f in first], [0] * T
+    planes_first, planes_last = [first[:]], [[0] * T]
+    dirty = [i for i in range(T) if first[i]]
+    level = 1
+    while dirty:
+        # Robber to move: lost once every free vertex of N[r] is resolved.
+        on = [p for j, p in enumerate(planes_last) if level >> j & 1]
+        grew = []
+        for i in dirty:
+            reach = 0
+            for table, b in zip(tables, (free[i] & ~first[i]).to_bytes(width, "little")):
+                if b:
+                    reach |= table[b]
+            gain = free[i] & ~reach & ~last[i]
+            if gain:
+                last[i] |= gain
+                top_last[i] = level
+                for p in on:
+                    p[i] |= gain
+                grew.append((i, gain))
+        level += 1
+        if level.bit_length() > len(planes_first):
+            planes_first.append([0] * T)
+            planes_last.append([0] * T)
+        # Cops to move: capture follows a reply into a lost state.
+        push = [0] * T
+        for i, gain in grew:
+            for j in moves[i]:
+                push[j] |= gain
+        on = [p for j, p in enumerate(planes_first) if level >> j & 1]
+        dirty = []
+        for i, p in enumerate(push):
+            gain = p & free[i] & ~first[i]
+            if gain:
+                first[i] |= gain
+                top_first[i] = level
+                for pl in on:
+                    pl[i] |= gain
+                dirty.append(i)
+    size = sum(f.bit_count() for f in free)
+    return (
+        _Half(tuples, index, free, size, first, top_first, planes_first),
+        _Half(tuples, index, free, size, last, top_last, planes_last),
+    )
+
+
+def _capture(half: _Half) -> tuple[CaptureValue, tuple[tuple[int, ...], ...]]:
+    """Capture time and central tuples: min over tuples of the max over robbers."""
+    capture_time: CaptureValue = ESCAPE
+    central: list[tuple[int, ...]] = []
+    for t, free, done, worst in zip(half.tuples, half.free, half.done, half.top):
+        if done != free:
+            continue
+        if is_escape(capture_time) or worst < capture_time:  # type: ignore[operator]
+            capture_time = worst
+            central = [t]
+        elif worst == capture_time:
+            central.append(t)
+    return capture_time, tuple(central)
+
+
 def solve(
     g: Graph,
     k: int,
@@ -152,140 +299,30 @@ def solve(
             f"> budget {state_budget}",
             estimate,
         )
-    n = g.vertex_count
-    closed = _closed_lists(g)
-    tuples, _, sets, moves = _cop_configuration_space(g, k, closed)
-    T = len(tuples)
-    covered = []
-    for t in tuples:
-        cov = set()
-        for c in t:
-            cov.update(closed[c])
-        covered.append(cov)
-
-    # State ids: ti * n + r.  Sentinels: -2 invalid (robber on a cop),
-    # -1 unresolved.  `first` holds the min-type values (U for
-    # robber-first, W for cops-first); `last` holds the max-type values
-    # (V resp. X) resolved by counters in `pending`.
-    size = T * n
-    first = [-2] * size
-    last = [-2] * size
-    pending = [0] * size
-    buckets: list[list[tuple[int, int]]] = [[], []]  # kind 0 = min-type, 1 = max-type
-    order_log: list[tuple[tuple[int, ...], int, int]] = []
-    robber_first = order is MoveOrder.ROBBER_FIRST
-
-    for ti in range(T):
-        ts = sets[ti]
-        cov = covered[ti]
-        base = ti * n
-        for r in range(n):
-            if r in ts:
-                continue
-            sid = base + r
-            first[sid] = -1
-            last[sid] = -1
-            pending[sid] = sum(1 for x in closed[r] if x not in ts)
-            if r in cov:
-                first[sid] = 1
-                buckets[1].append((0, sid))
-                if record_order and not robber_first:
-                    order_log.append((tuples[ti], r, 1))
-
-    value = 1
-    while value < len(buckets):
-        queue = buckets[value]
-        i = 0
-        while i < len(queue):
-            kind, sid = queue[i]
-            i += 1
-            ti, r = divmod(sid, n)
-            if kind == 0:
-                # Min-type state resolved at `value`; its predecessors are
-                # max-type states over robber moves with the same cop tuple.
-                ts = sets[ti]
-                base = ti * n
-                for rp in closed[r]:
-                    if rp in ts:
-                        continue
-                    psid = base + rp
-                    if last[psid] != -1:
-                        continue
-                    pending[psid] -= 1
-                    if pending[psid] == 0:
-                        last[psid] = value
-                        queue.append((1, psid))
-                        if record_order and robber_first:
-                            order_log.append((tuples[ti], rp, value))
-            else:
-                # Max-type state resolved at `value`; its predecessors are
-                # min-type states one cop half-move away, same robber.
-                for tj in moves[ti]:
-                    if r in sets[tj]:
-                        continue
-                    psid = tj * n + r
-                    if first[psid] == -1:
-                        first[psid] = value + 1
-                        while len(buckets) <= value + 1:
-                            buckets.append([])
-                        buckets[value + 1].append((0, psid))
-                        if record_order and not robber_first:
-                            order_log.append((tuples[tj], r, value + 1))
-        value += 1
-
-    # Robber-first stores the max-type (robber to move) values; cops-first
-    # stores the min-type (cops to move) values.
-    stored = last if robber_first else first
-    table_values: dict[tuple[tuple[int, ...], int], CaptureValue] = {}
-    for ti in range(T):
-        t = tuples[ti]
-        base = ti * n
-        for r in range(n):
-            sid = base + r
-            if stored[sid] == -2:
-                continue
-            table_values[(t, r)] = ESCAPE if stored[sid] == -1 else stored[sid]
-
-    capture_time: CaptureValue = ESCAPE
-    central: list[tuple[int, ...]] = []
-    for ti in range(T):
-        t = tuples[ti]
-        worst = 0
-        ok = True
-        base = ti * n
-        for r in range(n):
-            if r in sets[ti]:
-                continue
-            v = stored[base + r]
-            if v == -1:
-                ok = False
-                break
-            if v > worst:
-                worst = v
-        if not ok:
-            continue
-        if is_escape(capture_time) or worst < capture_time:
-            capture_time = worst
-            central = [t]
-        elif worst == capture_time:
-            central.append(t)
-
-    table = ValueTable(g, k, order, table_values)
+    cops_to_move, robber_to_move = _retrograde(g, k)
+    if order is MoveOrder.ROBBER_FIRST:
+        stored, other = robber_to_move, cops_to_move
+    else:
+        stored, other = cops_to_move, robber_to_move
+    capture_time, central = _capture(stored)
+    log = None
+    if record_order:  # a stable sort by value keeps tuple-then-robber order per level
+        resolved = [(t, r, v) for (t, r), v in stored.items() if not is_escape(v)]
+        log = tuple(sorted(resolved, key=lambda entry: entry[2]))
     return SolveResult(
         capture_time=capture_time,
-        central_tuples=tuple(central),
-        table=table,
-        resolution_order=tuple(order_log) if record_order else None,
+        central_tuples=central,
+        table=ValueTable(g, k, order, stored, other),
+        resolution_order=log,
     )
 
 
 def capture_time_both_orders(
     g: Graph, k: int, *, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[CaptureValue, CaptureValue]:
-    """(robber-first, cops-first) capture times; equality is a test concern."""
+    """(robber-first, cops-first) capture times from one pass; equality is a test concern."""
     rf = solve(g, k, MoveOrder.ROBBER_FIRST, state_budget=state_budget)
-    cf = solve(g, k, MoveOrder.COPS_FIRST, state_budget=state_budget)
-    return rf.capture_time, cf.capture_time
+    return rf.capture_time, _capture(rf.table.other)[0]
 
 
 # --- naive oracle ------------------------------------------------------------
@@ -298,12 +335,6 @@ def _vmin(a, b):
     if b is None:
         return a
     return min(a, b)
-
-
-def _vmax(a, b):
-    if a is None or b is None:
-        return None
-    return max(a, b)
 
 
 def naive_value_iteration(
@@ -349,7 +380,6 @@ def naive_value_iteration(
             t, r = key
             ts = set(t)
             if robber_first:
-                outer = None
                 best_outer = -1  # max over robber moves; None dominates
                 saw_escape = False
                 for rp in closed[r]:
@@ -445,7 +475,10 @@ class OptimalCop(CopStrategy):
         if is_escape(result.capture_time):
             raise ValueError("no optimal cop strategy: the robber escapes")
         self.result = result
-        self.table = result.table
+        self.table = table = result.table
+        # A cop reply leads to a robber-to-move state.
+        robber_first = table.move_order is MoveOrder.ROBBER_FIRST
+        self._robber_to_move = table.value if robber_first else table.other
 
     def place(self, g: Graph):
         return min(self.result.central_tuples), None
@@ -453,22 +486,8 @@ class OptimalCop(CopStrategy):
     def _reply_value(self, mv: tuple[int, ...], robber: int) -> CaptureValue:
         if robber in mv:
             return 1
-        table = self.table
-        if table.move_order is MoveOrder.ROBBER_FIRST:
-            v = table.value_of(mv, robber)
-            return ESCAPE if is_escape(v) else 1 + v
-        g = table.graph
-        mvs = set(mv)
-        worst: CaptureValue = 0
-        for rp in g.closed_neighborhood(robber):
-            if rp in mvs:
-                continue
-            v = table.value_of(mv, rp)
-            if is_escape(v):
-                return ESCAPE
-            if v > worst:  # type: ignore[operator]
-                worst = v
-        return 1 + worst  # type: ignore[operator]
+        v = self._robber_to_move[(tuple(sorted(mv)), robber)]
+        return ESCAPE if is_escape(v) else 1 + v
 
     def respond(self, g: Graph, state: GameState, memory):
         best_mv = None
@@ -491,18 +510,16 @@ class OptimalRobber(RobberStrategy):
 
     def __init__(self, result: SolveResult):
         self.result = result
-        self.table = result.table
-
-    def _placement_value(self, cops: tuple[int, ...], r: int) -> CaptureValue:
-        if r in cops:
-            return 0
-        return self.table.value_of(cops, r)
+        self.table = table = result.table
+        # A robber move leads to a cops-to-move state.
+        robber_first = table.move_order is MoveOrder.ROBBER_FIRST
+        self._cops_to_move = table.other if robber_first else table.value
 
     def place(self, g: Graph, cops: tuple[int, ...]):
         best_r = 0
-        best: CaptureValue = self._placement_value(cops, 0)
+        best: CaptureValue = self.table.value_of(cops, 0)
         for r in range(1, g.vertex_count):
-            v = self._placement_value(cops, r)
+            v = self.table.value_of(cops, r)
             if is_escape(best):
                 break
             if is_escape(v) or v > best:  # type: ignore[operator]
@@ -510,32 +527,14 @@ class OptimalRobber(RobberStrategy):
                 best_r = r
         return best_r, None
 
-    def _continuation(self, cops: tuple[int, ...], rp: int) -> CaptureValue:
-        table = self.table
-        if table.move_order is MoveOrder.ROBBER_FIRST:
-            # Cops still to move: fold their best reply into the value.
-            g = table.graph
-            best: CaptureValue = ESCAPE
-            for mv in itertools.product(*(g.closed_neighborhood(c) for c in cops)):
-                if rp in mv:
-                    v: CaptureValue = 1
-                else:
-                    tv = table.value_of(mv, rp)
-                    v = ESCAPE if is_escape(tv) else 1 + tv
-                if is_escape(v):
-                    continue
-                if is_escape(best) or v < best:  # type: ignore[operator]
-                    best = v
-            return best
-        return self.table.value_of(cops, rp)
-
     def respond(self, g: Graph, state: GameState, memory):
         best_r = None
         best: CaptureValue = 0
+        cops = tuple(sorted(state.cops))
         for rp in g.closed_neighborhood(state.robber):
-            if rp in state.cops:
+            if rp in cops:
                 continue
-            v = self._continuation(state.cops, rp)
+            v = self._cops_to_move[(cops, rp)]
             if best_r is None or is_escape(v) or (not is_escape(best) and v > best):  # type: ignore[operator]
                 best_r = rp
                 best = v

@@ -1,3 +1,5 @@
+import pytest
+
 from treecops.cli import (
     BUDGET_ENV,
     EXIT_BUDGET,
@@ -41,6 +43,22 @@ def test_gen_product(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "gen", "--kind", "product", "--a", str(a), "--b", str(b))
     assert rc == EXIT_OK
     assert parse_graph(out).vertex_count == 12
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["--kind", "path"], "--n"),
+        (["--kind", "grid", "--m", "3"], "--n"),
+        (["--kind", "random-tree", "--seed", "5"], "--n"),
+    ],
+    ids=["path", "grid", "random-tree"],
+)
+def test_gen_missing_size_is_input_error(capsys, argv, missing):
+    rc, out, err = run_cli(capsys, "gen", *argv)
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert f"needs {missing}" in err
 
 
 def test_solve_grid(tmp_path, capsys):

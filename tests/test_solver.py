@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,11 +99,18 @@ def test_values_satisfy_recurrence():
 
 
 def test_resolution_order_nondecreasing():
-    for order in MoveOrder:
-        res = solve(grid_graph(3, 3), 2, order, record_order=True)
-        values = [v for (_, _, v) in res.resolution_order]
-        assert values == sorted(values)
-        assert len(values) > 0
+    # The log is the finite part of the stored table, in level order; a
+    # 4-cycle with a pendant vertex mixes escapes and finite values.
+    pendant_c4 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+    for g, k in [(grid_graph(3, 3), 2), (pendant_c4, 1), (grid_graph(2, 3), 3)]:
+        for order in MoveOrder:
+            res = solve(g, k, order, record_order=True)
+            values = [v for (_, _, v) in res.resolution_order]
+            assert values == sorted(values)
+            assert len(values) > 0
+            finite = {key: v for key, v in res.table.value.items() if not is_escape(v)}
+            assert {(t, r): v for (t, r, v) in res.resolution_order} == finite
+            assert len(values) == len(finite)
 
 
 def test_budget_error_carries_count():
@@ -123,6 +132,10 @@ def test_naive_agrees_with_solve_on_fixed_instances():
         (cycle_graph(4), 2),
         (star_graph(5), 1),
         (grid_graph(2, 3), 2),
+        (path_graph(4), 3),
+        (cycle_graph(5), 3),
+        (grid_graph(2, 3), 3),
+        (random_tree(7, SplitMix64(2024).next_u64()), 3),
     ]:
         for order in MoveOrder:
             fast = solve(g, k, order)
@@ -241,3 +254,109 @@ def test_sorted_tuples_match_unsorted_oracle_values():
     fast = solve(g, 2)
     slow = naive_value_iteration(g, 2)  # raises internally if permutations differ
     assert fast.table.value == slow.table.value
+
+
+# --- one pass for both orders, and the paths a bitmask core adds ------------
+
+
+@pytest.mark.parametrize(
+    "g, k, want",
+    [(path_graph(67), 1, 33), (grid_graph(9, 8), 2, 7)],
+    ids=["path:67", "grid:9x8"],
+)
+def test_more_than_64_vertices_match_closed_forms(g, k, want):
+    # n = 67 and 72: masks span several bytes and 64-bit words, and the
+    # last byte of the dilation tables is partial for path:67.
+    assert capture_time_both_orders(g, k) == (want, want)
+
+
+@pytest.mark.parametrize(
+    "order, prefix",
+    [(MoveOrder.ROBBER_FIRST, "dc21483a0254db58"), (MoveOrder.COPS_FIRST, "7f69845cd1a0881a")],
+    ids=["robber-first", "cops-first"],
+)
+def test_dump_grid4x4_is_byte_identical(order, prefix):
+    # Digests of the dumps written by the queue-based solver.
+    dump = dump_value_table(solve(grid_graph(4, 4), 2, order).table)
+    assert hashlib.sha256(dump.encode()).hexdigest()[:16] == prefix
+
+
+def test_one_pass_serves_both_orders():
+    for g, k in [(grid_graph(3, 3), 2), (cycle_graph(6), 1), (grid_graph(2, 3), 3)]:
+        rf = solve(g, k, MoveOrder.ROBBER_FIRST)
+        cf = solve(g, k, MoveOrder.COPS_FIRST)
+        assert rf.table.other == cf.table.value
+        assert cf.table.other == rf.table.value
+
+
+def test_value_table_is_a_read_only_mapping():
+    value = solve(path_graph(4), 1).table.value
+    assert isinstance(value, Mapping)
+    assert len(value) == len(list(value)) == 4 * 3
+    assert ((1,), 1) not in value  # captured states are not stored
+    with pytest.raises(TypeError):
+        value[((1,), 0)] = 5  # type: ignore[index]
+
+
+def _argmin_cop(g, table, cops, r):
+    # First minimum over ordered replies, values re-derived from the
+    # recurrence over the stored half (None plays escape).
+    closed = [g.closed_neighborhood(v) for v in range(g.vertex_count)]
+    best_mv, best = tuple(cops), None
+    for mv in itertools.product(*(closed[c] for c in cops)):
+        if r in mv:
+            v = 1
+        elif table.move_order is MoveOrder.ROBBER_FIRST:
+            tv = table.value_of(mv, r)
+            v = None if is_escape(tv) else 1 + tv
+        else:
+            after = [table.value_of(mv, rp) for rp in closed[r] if rp not in mv]
+            v = None if any(is_escape(a) for a in after) else 1 + max(after)
+        if v is not None and (best is None or v < best):
+            best_mv, best = mv, v
+    return best_mv
+
+
+def _argmax_robber(g, table, cops, r):
+    closed = [g.closed_neighborhood(v) for v in range(g.vertex_count)]
+    best_r, best = None, 0
+    for rp in closed[r]:
+        if rp in cops:
+            continue
+        if table.move_order is MoveOrder.COPS_FIRST:
+            tv = table.value_of(cops, rp)
+            v = None if is_escape(tv) else tv
+        else:
+            v = None
+            for mv in itertools.product(*(closed[c] for c in cops)):
+                if rp in mv:
+                    cand = 1
+                else:
+                    tv = table.value_of(mv, rp)
+                    cand = None if is_escape(tv) else 1 + tv
+                if cand is not None and (v is None or cand < v):
+                    v = cand
+        if v is None:
+            return rp  # escape beats any finite value
+        if best_r is None or v > best:
+            best_r, best = rp, v
+    return r if best_r is None else best_r
+
+
+@pytest.mark.parametrize(
+    "g, k", [(grid_graph(3, 3), 2), (grid_graph(2, 3), 3)], ids=["grid:3x3", "grid:2x3"]
+)
+@pytest.mark.parametrize("order", list(MoveOrder), ids=lambda o: o.value)
+def test_optimal_moves_are_the_recurrence_argmin(g, k, order):
+    from treecops import GameState, Side
+
+    res = solve(g, k, order)
+    cop, robber = optimal_cop_strategy(res), optimal_robber_strategy(res)
+    n = g.vertex_count
+    for cops in itertools.product(range(n), repeat=k):
+        for r in range(n):
+            if r in cops:
+                continue
+            state = GameState(cops, r, 1, Side.COPS)
+            assert cop.respond(g, state, None)[0] == _argmin_cop(g, res.table, cops, r)
+            assert robber.respond(g, state, None)[0] == _argmax_robber(g, res.table, cops, r)

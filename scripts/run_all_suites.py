@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every verification suite and print one summary line per suite.
 
-Exits nonzero if any claim fails.  `--quick` shrinks corpus sizes for a
-fast smoke run; the defaults match the full verification configuration.
+Exits nonzero if any claim fails or a suite has no passing claim.
+`--quick` shrinks corpus sizes for a fast smoke run; the defaults match
+the full verification configuration.
 
 Usage: python3 scripts/run_all_suites.py [--quick]
 """
@@ -38,6 +39,8 @@ def main() -> int:
         print(f"{result.summary()} time={elapsed:.1f}s")
         if not result.passed:
             failed = True
+            if result.counts()[0] == 0:
+                print(f"  NO CLAIM PASSED: suite {name} checked nothing", file=sys.stderr)
             for report in result.failing_reports():
                 print(f"  FAILING: {report.instance}", file=sys.stderr)
                 for line in report.lines():

@@ -125,25 +125,33 @@ def cmd_verify(args) -> int:
             print(f"{line}  # {report.instance}")
     print(result.summary())
     if not result.passed:
-        out_dir = Path(args.out) / args.suite
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, report in enumerate(result.failing_reports()):
-            lines = [f"# instance: {report.instance}"]
-            lines.extend(report.lines())
-            (out_dir / f"failure-{i}.txt").write_text("\n".join(lines) + "\n")
-            g = report.provenance.get("graph")
-            if isinstance(g, Graph):
-                (out_dir / f"failure-{i}.g").write_text(format_graph(g))
-            product = report.provenance.get("product")
-            if isinstance(product, ProductGraph):
-                try:
-                    trace_text = _exemplar_strategy_trace(product)
-                except Exception as exc:  # the strategy itself may be what failed
-                    trace_text = f"# trace unavailable: {exc}\n"
-                (out_dir / f"failure-{i}.trace").write_text(trace_text)
-        print(f"counterexamples written to {out_dir}", file=sys.stderr)
+        if result.counts()[0] == 0:
+            print(f"suite {args.suite!r} checked no claim: nothing passed", file=sys.stderr)
+        failing = result.failing_reports()
+        if failing:
+            out_dir = Path(args.out) / args.suite
+            _write_counterexamples(out_dir, failing)
+            print(f"counterexamples written to {out_dir}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
+
+
+def _write_counterexamples(out_dir: Path, failing) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, report in enumerate(failing):
+        lines = [f"# instance: {report.instance}"]
+        lines.extend(report.lines())
+        (out_dir / f"failure-{i}.txt").write_text("\n".join(lines) + "\n")
+        g = report.provenance.get("graph")
+        if isinstance(g, Graph):
+            (out_dir / f"failure-{i}.g").write_text(format_graph(g))
+        product = report.provenance.get("product")
+        if isinstance(product, ProductGraph):
+            try:
+                trace_text = _exemplar_strategy_trace(product)
+            except Exception as exc:  # the strategy itself may be what failed
+                trace_text = f"# trace unavailable: {exc}\n"
+            (out_dir / f"failure-{i}.trace").write_text(trace_text)
 
 
 def _exemplar_strategy_trace(product: ProductGraph) -> str:
@@ -289,3 +297,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -6,8 +6,9 @@ half-move, in the order fixed by the config; capture is checked after
 each half-move, so a robber stepping onto a cop is caught in that round
 without a cop reply.  Vertex sharing among cops is legal.
 
-Strategies are immutable templates; per-game state lives in an opaque
-hashable memory value the engine threads through `respond` calls.  A
+Strategies are templates; per-game state lives in an opaque hashable
+memory value the engine threads through `respond` calls (a strategy may
+keep counters and caches that never change its moves).  A
 strategy's `respond` must be a pure function of (state, memory) so that
 :func:`best_response_length` can memoize over it.
 """
@@ -172,6 +173,16 @@ def _check_robber_move(g: Graph, old: int, new: int) -> None:
 
 
 def _check_cop_moves(g: Graph, old: tuple[int, ...], new: tuple[int, ...]) -> None:
+    # Fast accept: every new position is a plain int that is a valid stay
+    # or an adjacent step.  Anything else takes the full checks below,
+    # which name the fault.
+    if len(new) == len(old):
+        adjacency, n = g.adjacency, g.vertex_count
+        for a, b in zip(old, new):
+            if type(b) is not int or not (b == a and 0 <= b < n or b in adjacency[a]):
+                break
+        else:
+            return
     if len(new) != len(old):
         raise IllegalMoveError(f"cops returned {len(new)} positions for {len(old)} cops")
     for i, (a, b) in enumerate(zip(old, new)):
@@ -289,10 +300,12 @@ def best_response_length(
 
     memo: dict[tuple, CaptureValue] = {}
     on_stack: set[tuple] = set()
+    # Looked up once per search rather than once per cop reply.
+    respond = cop_strategy.respond
+    cops_to_move = Side.COPS
 
     def cop_reply(cops: tuple[int, ...], robber: int, memory) -> tuple[tuple[int, ...], Hashable]:
-        state = GameState(cops, robber, 1, Side.COPS)
-        new_cops, new_memory = cop_strategy.respond(g, state, memory)
+        new_cops, new_memory = respond(g, GameState(cops, robber, 1, cops_to_move), memory)
         _check_cop_moves(g, cops, new_cops)
         return tuple(new_cops), new_memory
 
@@ -327,6 +340,7 @@ def best_response_length(
         if root in memo:
             return memo[root]
         # Iterative DFS; frames are [key, successor list, index, best, escape?].
+        # Values are ints or ESCAPE, so memo.get() returning None is a miss.
         stack = [[root, successors(root), 0, 0, False]]
         on_stack.add(root)
         while stack:
@@ -336,15 +350,17 @@ def best_response_length(
             while idx < len(succ) and not escaped:
                 child = succ[idx]
                 if child is None:
-                    best = max(best, 1)
+                    if best < 1:
+                        best = 1
                     idx += 1
                     continue
-                if child in memo:
-                    value = memo[child]
+                value = memo.get(child)
+                if value is not None:
                     if value is ESCAPE:
                         escaped = True
                     else:
-                        best = max(best, 1 + value)
+                        if value >= best:
+                            best = value + 1
                         idx += 1
                     continue
                 if child in on_stack:

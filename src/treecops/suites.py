@@ -53,7 +53,10 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return self.counts()[1] == 0
+        """No claim failed and at least one passed: a run that checked
+        nothing (no claims, or only vacuous ones) does not pass."""
+        npass, nfail, _ = self.counts()
+        return nfail == 0 and npass > 0
 
     def failing_reports(self) -> list[BoundReport]:
         return [r for r in self.reports if not r.passed]

@@ -39,7 +39,8 @@ vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import CopStrategy, GameState, Graph
 from .graphs import bfs_distances
@@ -157,9 +158,12 @@ def product_initial_placement(a1: Graph, a2: Graph) -> PlacementPlan:
     )
 
 
-@dataclass(frozen=True)
-class TwoPhaseMemory:
-    """Per-game state of the two-cop strategy (hashable by design)."""
+class TwoPhaseMemory(NamedTuple):
+    """Per-game state of the two-cop strategy.
+
+    A named tuple, so the hashing and equality that the best-response
+    memo runs on every state happen in C.
+    """
 
     phase: str
     prev_robber: int | None  # flat vertex at the start of the coming round
@@ -168,7 +172,16 @@ class TwoPhaseMemory:
 
 
 class ProductTwoCop(CopStrategy):
-    """Two-phase two-cop strategy on the product of two trees."""
+    """Two-phase two-cop strategy on the product of two trees.
+
+    Construction precomputes everything a response looks up: distances
+    and next hops in both arranged trees, the flat-to-internal
+    coordinate table (parity swap applied) and its inverse, which has no
+    entry for pairs on the virtual leaf, and the second tree rooted at
+    its fixed root.  Rootings of the odd tree are cached by root, and
+    `stats` counts responses, endgame entries and invariant checks, so
+    an instance is per-thread state, not a shareable template.
+    """
 
     def __init__(self, product: ProductGraph):
         if not (is_tree(product.factor1) and is_tree(product.factor2)):
@@ -186,36 +199,34 @@ class ProductTwoCop(CopStrategy):
         self._dist2 = [bfs_distances(self.tree2, v) for v in range(self.tree2.vertex_count)]
         self._hop1 = next_hop_table(self.tree1)
         self._hop2 = next_hop_table(self.tree2)
-        self._rooted_cache: dict[tuple[int, int], RootedTree] = {}
+        pairs = [product.pair_of(f) for f in range(product.flat.vertex_count)]
+        if self.parity.swapped:
+            pairs = [(x2, x1) for x1, x2 in pairs]
+        # Product vertices never involve the virtual leaf, so neither table
+        # has an entry for a pair that touches it.
+        self._internal_of: tuple[tuple[int, int], ...] = tuple(pairs)
+        self._flat_of: dict[tuple[int, int], int] = {p: f for f, p in enumerate(pairs)}
+        self._rooted2 = root_tree(self.tree2, self.root2)
+        self._rooted1_cache: dict[int, RootedTree] = {}
         self.stats = {"endgame_entries": 0, "invariant_checks": 0, "responses": 0}
 
     # -- coordinate plumbing ------------------------------------------------
 
-    def _virtual_of(self, which: int) -> int | None:
-        if self.parity.augmented == which:
-            return self.parity.virtual_vertex
-        return None
-
     def _internal(self, flat: int) -> tuple[int, int]:
-        x1, x2 = self.product.pair_of(flat)
-        return (x2, x1) if self.parity.swapped else (x1, x2)
+        return self._internal_of[flat]
 
     def _flat(self, pair: tuple[int, int]) -> int:
-        i1, i2 = pair
-        if i1 == self._virtual_of(0) or i2 == self._virtual_of(1):
+        flat = self._flat_of.get(pair)
+        if flat is None:
             raise StrategyInvariantError(
                 f"strategy prescribed a move onto virtual vertex: internal {pair}"
             )
-        if self.parity.swapped:
-            return self.product.flat_of(i2, i1)
-        return self.product.flat_of(i1, i2)
+        return flat
 
-    def _rooted(self, which: int, root: int) -> RootedTree:
-        key = (which, root)
-        rt = self._rooted_cache.get(key)
+    def _rooted1(self, root: int) -> RootedTree:
+        rt = self._rooted1_cache.get(root)
         if rt is None:
-            rt = root_tree(self.tree1 if which == 1 else self.tree2, root)
-            self._rooted_cache[key] = rt
+            rt = self._rooted1_cache[root] = root_tree(self.tree1, root)
         return rt
 
     # -- contract -------------------------------------------------------------
@@ -225,81 +236,85 @@ class ProductTwoCop(CopStrategy):
         return cops, TwoPhaseMemory(PHASE_EQUALIZE, None, None, None)
 
     def observe_placement(self, g: Graph, state: GameState, memory):
-        return replace(memory, prev_robber=state.robber)
+        return memory._replace(prev_robber=state.robber)
 
     def height_potential(self, cops_flat: tuple[int, ...], memory: TwoPhaseMemory) -> int:
         """h(u1)+h(v1)+h(u2)+h(v2) under the current (or provisional) roots."""
         root1 = memory.root1 if memory.root1 is not None else self.initial_root1
-        rt1 = self._rooted(1, root1)
-        rt2 = self._rooted(2, self.root2)
+        rt1 = self._rooted1(root1)
+        rt2 = self._rooted2
         pairs = [self._internal(c) for c in cops_flat]
         return sum(rt1.height[p[0]] for p in pairs) + sum(rt2.height[p[1]] for p in pairs)
 
     def respond(self, g: Graph, state: GameState, memory: TwoPhaseMemory):
-        self.stats["responses"] += 1
-        if memory.prev_robber is None:
+        stats = self.stats
+        stats["responses"] += 1
+        phase, prev_robber, c1_slot, root1 = memory
+        if prev_robber is None:
             raise StrategyInvariantError(
                 "two-cop strategy was not shown the robber placement"
             )
-        r_start = self._internal(memory.prev_robber)
-        r_now = self._internal(state.robber)
-        pairs = [self._internal(c) for c in state.cops]
+        internal = self._internal_of
+        dist1 = self._dist1
+        r_start = internal[prev_robber]
+        r_now = internal[state.robber]
+        cop_a, cop_b = state.cops
+        pairs = [internal[cop_a], internal[cop_b]]
         (x1, w1), (y1, w2) = pairs
-        if w1 != w2 or self._dist1[x1][y1] != 1:
+        if w1 != w2 or dist1[x1][y1] != 1:
             raise StrategyInvariantError(
                 f"cop pair structure broken: T1 coords {x1},{y1}, T2 coords {w1},{w2}"
             )
         u2 = w1
+        r1_start = r_start[0]
 
         # Orientation at the start of the round.
-        if memory.c1_slot is None:
-            dx = self._dist1[x1][r_start[0]]
-            dy = self._dist1[y1][r_start[0]]
+        if c1_slot is None:
+            dx = dist1[x1][r1_start]
+            dy = dist1[y1][r1_start]
             if dx == dy:
                 raise StrategyInvariantError(
                     f"tied pair distances {dx} in a tree; parity violated"
                 )
             c1_slot = 0 if dx < dy else 1
-        else:
-            c1_slot = memory.c1_slot
-        u1 = pairs[c1_slot][0]
-        v1 = pairs[1 - c1_slot][0]
-        dU = self._dist1[u1][r_start[0]]
-        dV = self._dist1[v1][r_start[0]]
+        u1, v1 = (x1, y1) if c1_slot == 0 else (y1, x1)
+        dU = dist1[u1][r1_start]
+        dV = dist1[v1][r1_start]
         d2 = self._dist2[u2][r_start[1]]
         if dV != dU + 1:
             raise StrategyInvariantError(
                 f"pair spacing broken at round start: d(u1,r1)={dU}, d(v1,r1)={dV}"
             )
 
-        phase = memory.phase
-        root1 = memory.root1
-        if phase == PHASE_EQUALIZE and d2 in (dU, dV):
+        if phase == PHASE_EQUALIZE and (d2 == dU or d2 == dV):
             # Endgame entry happens at a round boundary: the conditions held
             # with the robber to move, so her latest move gets the five-case
             # response below.
             phase = PHASE_ENDGAME
             if root1 is None:
                 root1 = v1
-            self.stats["endgame_entries"] += 1
-            self._assert_invariants(u1, v1, u2, r_start, root1, "endgame entry")
+            stats["endgame_entries"] += 1
+            self._assert_invariants(u1, v1, u2, r_start, self._rooted1(root1), "endgame entry")
 
         if phase == PHASE_EQUALIZE:
             new_pairs, c1_slot, root1 = self._equalize_move(
                 pairs, c1_slot, root1, u1, v1, u2, dU, dV, d2, r_now
             )
         else:
-            new_pairs = self._endgame_move(c1_slot, u1, v1, u2, r_start, r_now, root1)
-            captured = r_now in new_pairs
-            if not captured:
+            rt1 = self._rooted1(root1)
+            new_pairs = self._endgame_move(c1_slot, u1, v1, u2, r_start, r_now, rt1)
+            if r_now not in new_pairs:
                 nu1 = new_pairs[c1_slot][0]
                 nv1 = new_pairs[1 - c1_slot][0]
                 nu2 = new_pairs[0][1]
-                self._assert_invariants(nu1, nv1, nu2, r_now, root1, "after endgame move")
+                self._assert_invariants(nu1, nv1, nu2, r_now, rt1, "after endgame move")
 
-        new_cops = tuple(self._flat(p) for p in new_pairs)
-        new_memory = TwoPhaseMemory(phase, state.robber, c1_slot, root1)
-        return new_cops, new_memory
+        flat_of = self._flat_of
+        try:
+            new_cops = (flat_of[new_pairs[0]], flat_of[new_pairs[1]])
+        except KeyError:
+            new_cops = tuple(self._flat(p) for p in new_pairs)  # raises on the virtual leaf
+        return new_cops, TwoPhaseMemory(phase, state.robber, c1_slot, root1)
 
     # -- phase one -------------------------------------------------------------
 
@@ -343,88 +358,83 @@ class ProductTwoCop(CopStrategy):
 
     # -- phase two ---------------------------------------------------------------
 
-    def _endgame_move(self, c1_slot, u1, v1, u2, r_start, r_now, root1):
-        """The five-case response to the robber's last half-move."""
-        rt1 = self._rooted(1, root1)
-        rt2 = self._rooted(2, self.root2)
-        pairs = [None, None]
+    def _endgame_move(self, c1_slot, u1, v1, u2, r_start, r_now, rt1):
+        """The five-case response to the robber's last half-move.
 
-        def set_pair(slot, coord1, coord2):
-            pairs[slot] = (coord1, coord2)
-
-        def descend_t1(target):
-            nu1 = self._hop1[target][u1]
-            nv1 = self._hop1[target][v1]
-            if nv1 != u1:
-                raise StrategyInvariantError(
-                    f"endgame odd-tree descent did not contract the pair: {v1}->{nv1}"
-                )
-            set_pair(c1_slot, nu1, u2)
-            set_pair(1 - c1_slot, nv1, u2)
-
-        def descend_t2(target):
-            w = self._hop2[target][u2]
-            set_pair(c1_slot, u1, w)
-            set_pair(1 - c1_slot, v1, w)
-
-        if r_now == r_start:
+        Returns the new internal pairs by physical slot.  Every descent
+        heads for the robber's current coordinate in its tree.
+        """
+        r1_start, r2_start = r_start
+        r1, r2 = r_now
+        descend = 0  # 1 or 2: the tree both cops step down in
+        if r1 == r1_start and r2 == r2_start:
             # Robber stayed: descend in the tree whose distance matches.
-            d2 = self._dist2[u2][r_now[1]]
-            if d2 == self._dist1[v1][r_now[0]]:
-                descend_t2(r_now[1])
-            elif d2 == self._dist1[u1][r_now[0]]:
-                descend_t1(r_now[0])
+            d2 = self._dist2[u2][r2]
+            if d2 == self._dist1[v1][r1]:
+                descend = 2
+            elif d2 == self._dist1[u1][r1]:
+                descend = 1
             else:
                 raise StrategyInvariantError(
                     f"stay case with unmatched distances: d2={d2}"
                 )
-        elif r_now[1] == r_start[1]:
+        elif r2 == r2_start:
             # Odd-tree move.
-            if rt1.parent[r_start[0]] == r_now[0]:
+            if rt1.parent[r1_start] == r1:
                 # Up. From the near cop's column the only ascent lands on
                 # the far cop's column, one even-tree step from its cop.
-                if r_start[0] == u1:
-                    if r_now[0] != v1:
+                if r1_start == u1:
+                    if r1 != v1:
                         raise StrategyInvariantError(
-                            f"ascent from {r_start[0]} missed the far column {v1}"
+                            f"ascent from {r1_start} missed the far column {v1}"
                         )
-                    if self._dist2[u2][r_now[1]] != 1:
+                    if self._dist2[u2][r2] != 1:
                         raise StrategyInvariantError(
                             "capture case (odd-tree ascent) without unit distance"
                         )
-                    set_pair(c1_slot, u1, u2)
-                    set_pair(1 - c1_slot, v1, r_now[1])
+                    near, far = (u1, u2), (v1, r2)
                 else:
-                    descend_t2(r_now[1])
+                    descend = 2
             else:
-                descend_t1(r_now[0])
-        elif r_now[0] == r_start[0]:
+                descend = 1
+        elif r1 == r1_start:
             # Even-tree move.
-            if rt2.parent[r_start[1]] == r_now[1]:
+            if self._rooted2.parent[r2_start] == r2:
                 # Up.
-                if r_now[1] == u2:
-                    if self._dist1[u1][r_now[0]] != 1:
+                if r2 == u2:
+                    if self._dist1[u1][r1] != 1:
                         raise StrategyInvariantError(
                             "capture case (even-tree ascent) without unit distance"
                         )
-                    set_pair(c1_slot, self._hop1[r_now[0]][u1], u2)
-                    set_pair(1 - c1_slot, v1, u2)
+                    near, far = (self._hop1[r1][u1], u2), (v1, u2)
                 else:
-                    descend_t1(r_now[0])
+                    descend = 1
             else:
-                descend_t2(r_now[1])
+                descend = 2
         else:
             raise StrategyInvariantError(
                 f"robber changed both coordinates: {r_start} -> {r_now}"
             )
-        return pairs
+
+        if descend == 1:
+            hop = self._hop1[r1]
+            nu1 = hop[u1]
+            nv1 = hop[v1]
+            if nv1 != u1:
+                raise StrategyInvariantError(
+                    f"endgame odd-tree descent did not contract the pair: {v1}->{nv1}"
+                )
+            near, far = (nu1, u2), (nv1, u2)
+        elif descend == 2:
+            w = self._hop2[r2][u2]
+            near, far = (u1, w), (v1, w)
+        return [near, far] if c1_slot == 0 else [far, near]
 
     # -- invariants -----------------------------------------------------------
 
-    def _assert_invariants(self, u1, v1, u2, r, root1, where):
+    def _assert_invariants(self, u1, v1, u2, r, rt1, where):
         self.stats["invariant_checks"] += 1
-        rt1 = self._rooted(1, root1)
-        rt2 = self._rooted(2, self.root2)
+        rt2 = self._rooted2
         r1, r2 = r
         problems = []
         if not rt1.is_descendant(u1, r1):
@@ -444,7 +454,7 @@ class ProductTwoCop(CopStrategy):
             raise StrategyInvariantError(
                 f"invariants failed {where}: "
                 + "; ".join(problems)
-                + f" [u1={u1} v1={v1} u2={u2} r={r} root1={root1} root2={self.root2}]"
+                + f" [u1={u1} v1={v1} u2={u2} r={r} root1={rt1.root} root2={self.root2}]"
             )
 
 

@@ -13,6 +13,10 @@ class RootedTree:
     height[v] is the greatest distance from v to a childless descendant
     (the root's non-leaf neighbors included): 0 exactly when v has no
     children, and strictly decreasing along every parent-to-child edge.
+
+    entry[v] and exit[v] are pre-order indices: v's subtree holds exactly
+    the vertices w with entry[v] <= entry[w] < exit[v], which makes
+    :meth:`is_descendant` two comparisons.
     """
 
     base: Graph
@@ -21,12 +25,12 @@ class RootedTree:
     depth: tuple[int, ...]
     height: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
+    entry: tuple[int, ...]
+    exit: tuple[int, ...]
 
     def is_descendant(self, ancestor: int, v: int) -> bool:
         """True iff ancestor lies on the root-to-v path (v counts as its own)."""
-        while self.depth[v] > self.depth[ancestor]:
-            v = self.parent[v]  # type: ignore[assignment]
-        return v == ancestor
+        return self.entry[ancestor] <= self.entry[v] < self.exit[ancestor]
 
 
 def root_tree(t: Graph, root: int) -> RootedTree:
@@ -45,6 +49,20 @@ def root_tree(t: Graph, root: int) -> RootedTree:
     for v in reversed(order):
         if children[v]:
             height[v] = 1 + max(height[c] for c in children[v])
+    # Pre-order numbering: a vertex's subtree is the contiguous block of
+    # indices that starts at its own entry and has its subtree's size.
+    entry = [0] * n
+    size = [1] * n
+    for v in reversed(order):
+        if v != root:
+            size[parent[v]] += size[v]
+    next_index = 0
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        entry[v] = next_index
+        next_index += 1
+        stack.extend(reversed(children[v]))
     return RootedTree(
         base=t,
         root=root,
@@ -52,6 +70,8 @@ def root_tree(t: Graph, root: int) -> RootedTree:
         depth=tuple(dist),
         height=tuple(height),
         children=tuple(tuple(c) for c in children),
+        entry=tuple(entry),
+        exit=tuple(entry[v] + size[v] for v in range(n)),
     )
 
 
@@ -106,19 +126,17 @@ def step_toward(t: Graph, frm: int, to: int) -> int:
 
 
 def next_hop_table(t: Graph) -> list[list[int]]:
-    """hop[to][frm]: first step from frm toward to (hop[to][to] = to)."""
-    n = t.vertex_count
+    """hop[to][frm]: first step from frm toward to (hop[to][to] = to).
+
+    In a tree that step is frm's parent when the tree hangs from `to`, so
+    each row is the parent array of one BFS.
+    """
+    if not is_tree(t):
+        raise GraphError("next_hop_table requires a tree")
     table: list[list[int]] = []
-    for to in range(n):
-        dist = bfs_distances(t, to)
-        row = [to] * n
-        for frm in range(n):
-            if frm == to:
-                continue
-            for nb in t.adjacency[frm]:
-                if dist[nb] == dist[frm] - 1:
-                    row[frm] = nb
-                    break
+    for to in range(t.vertex_count):
+        row = bfs_parents(t, to)[1]
+        row[to] = to
         table.append(row)
     return table
 

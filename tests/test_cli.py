@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import treecops
 from treecops.cli import (
     BUDGET_ENV,
     EXIT_BUDGET,
@@ -262,3 +268,28 @@ def test_load_graph_source_specs():
     assert load_graph_source("path:5").vertex_count == 5
     assert load_graph_source("grid:2x3").vertex_count == 6
     assert load_graph_source("tree:6:9").vertex_count == 6
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["solve", "--graph", "grid:3x3", "--cops", "2"]
+    rc, out, _ = run_cli(capsys, *argv)
+    src = Path(treecops.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "treecops", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert rc == proc.returncode == EXIT_OK
+    assert proc.stdout == out
+    assert out.startswith("capt=2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "theorem2", "--count", "0"),
+    ("verify", "--suite", "corollary-grid", "--max", "1"),
+])
+def test_verify_that_checks_nothing_fails(capsys, tmp_path, argv):
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "f"))
+    assert rc == EXIT_VERIFY_FAIL
+    assert "pass=0 fail=0" in out
+    assert "checked no claim" in err
+    assert not (tmp_path / "f").exists()  # nothing failed, so no counterexample

@@ -21,6 +21,7 @@ from treecops import (
     step_toward,
     tree_diameter,
 )
+from treecops.trees import next_hop_table
 
 
 def test_build_path2():
@@ -245,3 +246,39 @@ def test_center_has_small_eccentricity(t, data):
 
     d = diameter(t)
     assert eccentricity(t, center_start(t)) <= (d + 1) // 2
+
+
+def _walk_is_descendant(rt, ancestor, v):
+    # Reference: climb from v to the ancestor's depth along parent links.
+    while rt.depth[v] > rt.depth[ancestor]:
+        v = rt.parent[v]
+    return v == ancestor
+
+
+_NAVIGATION_TREES = [random_tree(n, seed) for n, seed in ((9, 1), (14, 2), (23, 3), (31, 4))]
+_NAVIGATION_TREES += [path_graph(7), star_graph(6)]
+
+
+@pytest.mark.parametrize("t", _NAVIGATION_TREES)
+def test_is_descendant_matches_parent_walk(t):
+    n = t.vertex_count
+    for root in range(n):
+        rt = root_tree(t, root)
+        for ancestor in range(n):
+            for v in range(n):
+                assert rt.is_descendant(ancestor, v) == _walk_is_descendant(rt, ancestor, v)
+
+
+@pytest.mark.parametrize("t", _NAVIGATION_TREES)
+def test_next_hop_table_matches_step_toward(t):
+    hop = next_hop_table(t)
+    for to in range(t.vertex_count):
+        assert hop[to][to] == to
+        for frm in range(t.vertex_count):
+            if frm != to:
+                assert hop[to][frm] == step_toward(t, frm, to)
+
+
+def test_next_hop_table_rejects_non_trees():
+    with pytest.raises(GraphError):
+        next_hop_table(grid_graph(2, 2))

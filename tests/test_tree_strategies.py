@@ -21,6 +21,7 @@ from treecops import (
     solve,
     star_graph,
     two_cop_strategy,
+    TwoPhaseMemory,
 )
 from treecops.engine import advance_round
 from treecops.generators import SplitMix64
@@ -254,3 +255,55 @@ def test_two_cop_works_cops_first_order():
     got = best_response_length(prod.flat, config, two_cop_strategy(prod))
     assert not is_escape(got)
     assert got <= (3 + 2) // 2 + 1
+
+
+# Values and strategy counters of the exhaustive search on fixed inputs.
+# A change that alters the explored states (or the strategy's moves)
+# changes these counters, so a faster path must leave them as they are.
+_PINNED_SEARCHES = [
+    (lambda: cartesian_product(random_tree(12, 5), random_tree(15, 9)), MoveOrder.ROBBER_FIRST,
+     7, {"endgame_entries": 1332, "invariant_checks": 3520, "responses": 3602}),
+    (lambda: cartesian_product(random_tree(12, 5), random_tree(15, 9)), MoveOrder.COPS_FIRST,
+     7, {"endgame_entries": 660, "invariant_checks": 2064, "responses": 2350}),
+    (lambda: cartesian_product(path_graph(6), path_graph(7)), MoveOrder.ROBBER_FIRST,
+     5, {"endgame_entries": 236, "invariant_checks": 536, "responses": 582}),
+    (lambda: cartesian_product(path_graph(6), path_graph(7)), MoveOrder.COPS_FIRST,
+     5, {"endgame_entries": 108, "invariant_checks": 276, "responses": 342}),
+]
+
+
+@pytest.mark.parametrize("make_product, order, value, stats", _PINNED_SEARCHES)
+def test_best_response_search_is_pinned(make_product, order, value, stats):
+    prod = make_product()
+    strategy = two_cop_strategy(prod)
+    got = best_response_length(prod.flat, GameConfig(cop_count=2, move_order=order), strategy)
+    assert got == value
+    assert strategy.stats == stats
+
+
+def test_tree_chase_best_response_is_pinned():
+    t = random_tree(200, 1000)
+    assert best_response_length(t, GameConfig(cop_count=1), one_cop_strategy(t)) == 23
+
+
+@pytest.mark.parametrize("t1, t2", [(path_graph(3), path_graph(3)), (path_graph(2), path_graph(4))])
+def test_flat_rejects_pairs_on_the_virtual_leaf(t1, t2):
+    # Both diameters even (first factor extended) or both odd (second).
+    strategy = two_cop_strategy(cartesian_product(t1, t2))
+    virtual = strategy.parity.virtual_vertex
+    assert virtual is not None
+    pair = (virtual, 0) if strategy.parity.augmented == 0 else (0, virtual)
+    with pytest.raises(StrategyInvariantError, match="virtual vertex"):
+        strategy._flat(pair)
+    # Every real pair still maps back to its product vertex.
+    for flat in range(strategy.product.flat.vertex_count):
+        assert strategy._flat(strategy._internal(flat)) == flat
+
+
+def test_two_phase_memory_compares_by_fields():
+    a = TwoPhaseMemory("endgame", 7, 1, 3)
+    b = TwoPhaseMemory("endgame", 7, 1, 3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != TwoPhaseMemory("endgame", 7, 0, 3)
+    assert a._replace(prev_robber=9) == TwoPhaseMemory("endgame", 9, 1, 3)

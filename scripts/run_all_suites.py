@@ -39,7 +39,8 @@ def main() -> int:
         print(f"{result.summary()} time={elapsed:.1f}s")
         if not result.passed:
             failed = True
-            if result.counts()[0] == 0:
+            npass, nfail, _ = result.counts()
+            if npass == nfail == 0:
                 print(f"  NO CLAIM PASSED: suite {name} checked nothing", file=sys.stderr)
             for report in result.failing_reports():
                 print(f"  FAILING: {report.instance}", file=sys.stderr)

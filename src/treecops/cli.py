@@ -125,7 +125,8 @@ def cmd_verify(args) -> int:
             print(f"{line}  # {report.instance}")
     print(result.summary())
     if not result.passed:
-        if result.counts()[0] == 0:
+        npass, nfail, _ = result.counts()
+        if npass == nfail == 0:
             print(f"suite {args.suite!r} checked no claim: nothing passed", file=sys.stderr)
         failing = result.failing_reports()
         if failing:

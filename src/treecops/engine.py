@@ -173,19 +173,14 @@ def _check_robber_move(g: Graph, old: int, new: int) -> None:
 
 
 def _check_cop_moves(g: Graph, old: tuple[int, ...], new: tuple[int, ...]) -> None:
-    # Fast accept: every new position is a plain int that is a valid stay
-    # or an adjacent step.  Anything else takes the full checks below,
-    # which name the fault.
-    if len(new) == len(old):
-        adjacency, n = g.adjacency, g.vertex_count
-        for a, b in zip(old, new):
-            if type(b) is not int or not (b == a and 0 <= b < n or b in adjacency[a]):
-                break
-        else:
-            return
     if len(new) != len(old):
         raise IllegalMoveError(f"cops returned {len(new)} positions for {len(old)} cops")
+    adjacency, n = g.adjacency, g.vertex_count
     for i, (a, b) in enumerate(zip(old, new)):
+        # A plain int that is a valid stay or an adjacent step is accepted
+        # at once; anything else takes the checks that name the fault.
+        if type(b) is int and (b == a and 0 <= b < n or b in adjacency[a]):
+            continue
         _check_vertex(g, b, f"cop {i}")
         if b != a and not g.has_edge(a, b):
             raise IllegalMoveError(f"cop {i} moved {a} -> {b}, not a stay or an edge")

@@ -309,11 +309,7 @@ class ProductTwoCop(CopStrategy):
                 nu2 = new_pairs[0][1]
                 self._assert_invariants(nu1, nv1, nu2, r_now, rt1, "after endgame move")
 
-        flat_of = self._flat_of
-        try:
-            new_cops = (flat_of[new_pairs[0]], flat_of[new_pairs[1]])
-        except KeyError:
-            new_cops = tuple(self._flat(p) for p in new_pairs)  # raises on the virtual leaf
+        new_cops = (self._flat(new_pairs[0]), self._flat(new_pairs[1]))
         return new_cops, TwoPhaseMemory(phase, state.robber, c1_slot, root1)
 
     # -- phase one -------------------------------------------------------------

@@ -293,3 +293,16 @@ def test_verify_that_checks_nothing_fails(capsys, tmp_path, argv):
     assert "pass=0 fail=0" in out
     assert "checked no claim" in err
     assert not (tmp_path / "f").exists()  # nothing failed, so no counterexample
+
+
+def test_verify_with_only_failing_claims_does_not_say_nothing_checked(
+        capsys, tmp_path, monkeypatch):
+    import treecops.suites as suites
+
+    monkeypatch.setattr(suites, "capture_time_both_orders", lambda g, k: (99, 99))
+    rc, out, err = run_cli(capsys, "verify", "--suite", "corollary-grid", "--max", "2",
+                           "--out", str(tmp_path / "f"))
+    assert rc == EXIT_VERIFY_FAIL
+    assert "pass=0 fail=2" in out
+    assert "checked no claim" not in err
+    assert "counterexamples written" in err

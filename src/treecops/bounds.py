@@ -66,6 +66,16 @@ class BoundReport:
         return [c.line() for c in self.claims]
 
 
+def _escaped(report: BoundReport, claim_id: str) -> BoundReport:
+    """Fail a report whose capture time should be finite but is ESCAPE.
+
+    The escape is written -1, as in the suites, so the claim line reads
+    ``-1 >= 0 FAIL``; no other claim is checked without a capture time.
+    """
+    report.claims.append(make_claim(claim_id, -1, ">=", 0))
+    return report
+
+
 def is_corner(g: Graph, u: int) -> bool:
     """True iff some other vertex dominates u: N[u] is a subset of N[v]."""
     nu = set(g.closed_neighborhood(u))
@@ -124,7 +134,7 @@ def check_lemma3(g: Graph, result: SolveResult) -> BoundReport:
     qualifying 4-cycle vertex u."""
     report = BoundReport(instance=f"lemma3[n={g.vertex_count}]")
     if is_escape(result.capture_time):
-        raise ValueError("check_lemma3 needs a finite 2-cop capture time")
+        return _escaped(report, "capt2-finite")
     t = result.capture_time
     report.provenance["capt2"] = t
     report.provenance["central"] = result.central_tuples
@@ -154,7 +164,7 @@ def check_theorem2(product: ProductGraph, result: SolveResult) -> BoundReport:
     d = diameter(g)
     report = BoundReport(instance=f"theorem2[n={g.vertex_count}]")
     if is_escape(result.capture_time):
-        raise ValueError("check_theorem2 needs a finite 2-cop capture time")
+        return _escaped(report, "capt2-finite")
     t = result.capture_time
     report.provenance["capt2"] = t
     report.provenance["diam"] = d
@@ -188,7 +198,7 @@ def check_corollaries(product: ProductGraph, result: SolveResult) -> BoundReport
     both factors are paths."""
     report = BoundReport(instance=f"corollaries[n={product.flat.vertex_count}]")
     if is_escape(result.capture_time):
-        raise ValueError("check_corollaries needs a finite 2-cop capture time")
+        return _escaped(report, "capt2-finite")
     t2 = result.capture_time
     c1a = solve(product.factor1, 1).capture_time
     c1b = solve(product.factor2, 1).capture_time
@@ -236,7 +246,7 @@ def check_multi_tree_bounds(
     report.provenance["formula_upper_bound"] = formula
     if len(trees) == 3 and result is not None:
         if is_escape(result.capture_time):
-            raise ValueError("check_multi_tree_bounds needs a finite capture time")
+            return _escaped(report, "capt-finite")
         lo, hi = three_tree_bounds(diams)
         capt = result.capture_time
         report.provenance["capt"] = capt

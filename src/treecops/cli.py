@@ -114,6 +114,10 @@ def cmd_verify(args) -> int:
         kwargs = {"max_mn": args.max}
     elif args.suite == "move-order":
         kwargs = {"seed": args.seed, "count": args.count}
+    if "max_size" in kwargs and args.max_size < 2:
+        # The corpora draw tree sizes from [2, max_size].
+        print(f"error: --max-size must be at least 2, got {args.max_size}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         result = suite_fn(**kwargs)
     except StrategyInvariantError as exc:

@@ -41,6 +41,14 @@ bits never set are ESCAPE.  N[x] is the closed-neighbourhood dilation,
 read from ceil(n/8) lookup tables of at most 256 masks, one per byte of
 x, built per solve.
 
+The move relation M is built without sorting or hashing a tuple per
+move.  A nested rank table, pos[x1]...[xk] = index of
+sorted((x1, ..., xk)), is built once per solve; it answers all n^k
+ordered tuples, but rows of equal sorted prefixes are one shared list.
+The moves of c are read by indexing it row by row over the cops' closed
+neighbourhoods, and one set per tuple removes duplicates before the
+list is stored.
+
 A state's value is the level at which its bit appears.  Each half keeps
 the values as bit planes (bit j of the value of (c, r) is bit r of
 plane j of c), so the pass does no per-state work.  The move order only
@@ -167,23 +175,38 @@ def _closed_lists(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _cop_configuration_space(g: Graph, k: int, closed):
-    """Sorted cop tuples, their vertex sets, and the canonical move relation.
+    """Sorted cop tuples, their index, their cop bitmasks, and the move relation.
 
-    The move relation is symmetric: c' is reachable from c in one cop
-    half-move iff c is reachable from c', so one table serves both as
-    successor and predecessor map.
+    ``moves[i]`` lists, once each and in no particular order, the
+    indices of the sorted tuples the cops at ``tuples[i]`` reach in one
+    half-move.  The relation is symmetric: c' is reachable from c iff c
+    is reachable from c', so one table serves both as successor and
+    predecessor map.  Bit v of ``masks[i]`` is set iff a cop of
+    ``tuples[i]`` stands on v.
     """
     n = g.vertex_count
     tuples = list(itertools.combinations_with_replacement(range(n), k))
     index = {t: i for i, t in enumerate(tuples)}
-    sets = [frozenset(t) for t in tuples]
+    # Rank table: pos[x1]...[xk] is the index of sorted((x1, ..., xk)).
+    # Rows are built per sorted prefix, so equal multisets share one row.
+    level = index
+    for size in range(k - 1, -1, -1):
+        level = {m: [level[tuple(sorted(m + (x,)))] for x in range(n)]
+                 for m in itertools.combinations_with_replacement(range(n), size)}
+    pos = level[()]
+    masks: list[int] = []
     moves: list[list[int]] = []
     for t in tuples:
-        seen = set()
-        for mv in itertools.product(*(closed[c] for c in t)):
-            seen.add(index[tuple(sorted(mv))])
-        moves.append(sorted(seen))
-    return tuples, index, sets, moves
+        rows = [pos]
+        for c in t[:-1]:
+            rows = [row[x] for row in rows for x in closed[c]]
+        last = closed[t[-1]]
+        moves.append(list({row[x] for row in rows for x in last}))
+        mask = 0
+        for c in t:
+            mask |= 1 << c
+        masks.append(mask)
+    return tuples, index, masks, moves
 
 
 def _estimate_pairs(g: Graph, k: int) -> int:
@@ -201,7 +224,7 @@ def _retrograde(g: Graph, k: int) -> tuple[_Half, _Half]:
     """(cops-to-move half, robber-to-move half) of one level-synchronous pass."""
     n = g.vertex_count
     closed = _closed_lists(g)
-    tuples, index, _, moves = _cop_configuration_space(g, k, closed)
+    tuples, index, masks, moves = _cop_configuration_space(g, k, closed)
     T = len(tuples)
     near = [sum(1 << u for u in closed[v]) for v in range(n)]
     tables = []  # tables[j][b] = N[b << 8j]
@@ -211,13 +234,12 @@ def _retrograde(g: Graph, k: int) -> tuple[_Half, _Half]:
             table += [x | mask for x in table]
         tables.append(table)
     width = len(tables)
-    free, first = [], []  # first = F, last = R
-    for t in tuples:
-        cop = cov = 0
+    free = [((1 << n) - 1) ^ cop for cop in masks]
+    first = []  # first = F, last = R
+    for t, cop in zip(tuples, masks):
+        cov = 0
         for c in t:
-            cop |= 1 << c
             cov |= near[c]
-        free.append(((1 << n) - 1) ^ cop)
         first.append(cov & ~cop)
     last = [0] * T
     top_first, top_last = [1 if f else 0 for f in first], [0] * T
@@ -251,8 +273,8 @@ def _retrograde(g: Graph, k: int) -> tuple[_Half, _Half]:
                 push[j] |= gain
         on = [p for j, p in enumerate(planes_first) if level >> j & 1]
         dirty = []
-        for i, p in enumerate(push):
-            gain = p & free[i] & ~first[i]
+        for i in itertools.compress(range(T), push):
+            gain = push[i] & free[i] & ~first[i]
             if gain:
                 first[i] |= gain
                 top_first[i] = level

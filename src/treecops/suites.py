@@ -253,6 +253,7 @@ def suite_three_trees() -> SuiteResult:
         ).flat
         solved = solve(flat, 2)
         report = check_multi_tree_bounds(trees, solved)
+        report.provenance["graph"] = flat
         result.reports.append(report)
     report = BoundReport(instance="n-tree-formula[4 single edges]")
     report.claims.append(

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -306,3 +308,52 @@ def test_verify_with_only_failing_claims_does_not_say_nothing_checked(
     assert "pass=0 fail=2" in out
     assert "checked no claim" not in err
     assert "counterexamples written" in err
+
+
+@pytest.mark.parametrize(
+    "suite, prefix",
+    [("theorem2", "ef315043a622b2be"), ("sandwich", "2447b7968d45768c"),
+     ("lemma3", "3205625952e6a840")],
+)
+def test_verify_stdout_at_defaults_is_pinned(capsys, tmp_path, suite, prefix):
+    # Digests of the stdout written before the rank-table move relation.
+    rc, out, _ = run_cli(capsys, "verify", "--suite", suite, "--out", str(tmp_path / "f"))
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+@pytest.mark.parametrize("argv, claim", [
+    (("--suite", "theorem2", "--count", "2", "--max-size", "3"), "capt2-finite"),
+    (("--suite", "sandwich", "--count", "2", "--max-size", "3"), "capt2-finite"),
+    (("--suite", "lemma3", "--count", "2", "--max-size", "3"), "capt2-finite"),
+    (("--suite", "three-trees",), "capt-finite"),
+])
+def test_verify_escape_is_a_failure_with_counterexample(capsys, tmp_path, monkeypatch,
+                                                        argv, claim):
+    # A solver that wrongly reports ESCAPE must fail the claim, not the input.
+    import treecops.suites as suites
+
+    original = suites.solve
+
+    def escaping(g, k, *args, **kwargs):
+        return dataclasses.replace(original(g, k, *args, **kwargs),
+                                   capture_time=treecops.ESCAPE)
+
+    monkeypatch.setattr(suites, "solve", escaping)
+    rc, out, err = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "f"))
+    assert rc == EXIT_VERIFY_FAIL
+    assert f"CLAIM {claim} -1 >= 0 FAIL" in out
+    assert "counterexamples written" in err
+    failure_dir = tmp_path / "f" / argv[1]
+    assert (failure_dir / "failure-0.txt").is_file()
+    parse_graph((failure_dir / "failure-0.g").read_text())
+
+
+@pytest.mark.parametrize("suite", ["theorem2", "sandwich", "lemma3", "thm1", "constructive"])
+@pytest.mark.parametrize("max_size", ["1", "0"])
+def test_verify_rejects_max_size_below_two(capsys, tmp_path, suite, max_size):
+    rc, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-size", max_size,
+                           "--out", str(tmp_path / "f"))
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert "--max-size" in err and "below()" not in err

@@ -11,6 +11,7 @@ from treecops import (
     MoveOrder,
     build_graph,
     capture_time_both_orders,
+    cartesian_product,
     cycle_graph,
     dump_value_table,
     grid_graph,
@@ -26,6 +27,7 @@ from treecops import (
 )
 from treecops.engine import ResourceBudgetError
 from treecops.generators import SplitMix64
+from treecops.solver import _closed_lists, _cop_configuration_space
 
 
 def test_path4_one_cop():
@@ -360,3 +362,32 @@ def test_optimal_moves_are_the_recurrence_argmin(g, k, order):
             state = GameState(cops, r, 1, Side.COPS)
             assert cop.respond(g, state, None)[0] == _argmin_cop(g, res.table, cops, r)
             assert robber.respond(g, state, None)[0] == _argmax_robber(g, res.table, cops, r)
+
+
+_MOVE_GRAPHS = {
+    "grid:1x1": grid_graph(1, 1),
+    "path:3": path_graph(3),
+    "grid:3x4": grid_graph(3, 4),
+    "tree4xtree3": cartesian_product(random_tree(4, 21), random_tree(3, 22)).flat,
+}
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, k) for name in _MOVE_GRAPHS for k in (1, 2, 3)] + [("path:3", 5)],
+)
+def test_cop_move_relation_matches_definition(name, k):
+    g = _MOVE_GRAPHS[name]
+    n = g.vertex_count
+    closed = _closed_lists(g)
+    tuples, index, masks, moves = _cop_configuration_space(g, k, closed)
+    assert tuples == list(itertools.combinations_with_replacement(range(n), k))
+    assert index == {t: i for i, t in enumerate(tuples)}
+    assert masks == [sum(1 << v for v in set(t)) for t in tuples]
+    for t, mv in zip(tuples, moves):
+        want = {tuple(sorted(m)) for m in itertools.product(*(closed[c] for c in t))}
+        assert len(mv) == len(set(mv))  # no duplicate moves
+        assert {tuples[j] for j in mv} == want
+    # Move lists double as predecessor lists in the retrograde pass.
+    relation = {(i, j) for i, mv in enumerate(moves) for j in mv}
+    assert relation == {(j, i) for i, j in relation}

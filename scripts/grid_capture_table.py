@@ -14,11 +14,11 @@ import time
 
 from treecops import (
     GameConfig,
+    ProductTwoCop,
     best_response_length,
     cartesian_product,
     path_graph,
     solve,
-    two_cop_strategy,
 )
 
 
@@ -37,7 +37,7 @@ def main() -> int:
             exact = solve(product.flat, 2).capture_time
             formula = (m + n) // 2 - 1
             strategy = best_response_length(
-                product.flat, config, two_cop_strategy(product)
+                product.flat, config, ProductTwoCop(product)
             )
             elapsed = time.perf_counter() - started
             mark = "" if exact == formula == strategy else "  <-- DISAGREES"

@@ -11,18 +11,11 @@ import argparse
 import sys
 import time
 
-from treecops.suites import SUITES
+from treecops.suites import SUITES, run_suite
 
-QUICK_ARGS = {
-    "thm1": dict(max_size=5, sample_count=20),
-    "theorem2": dict(count=10, max_size=5),
-    "corollary-grid": dict(max_mn=4),
-    "sandwich": dict(count=10, max_size=5),
-    "lemma3": dict(count=10, max_size=5),
-    "move-order": dict(count=10),
-    "constructive": dict(count=10, max_size=5, max_mn=4),
-    "three-trees": dict(),
-}
+# One quick configuration for every suite; each takes the options its
+# signature names.
+QUICK_OPTIONS = dict(count=20, max_size=5, max_mn=4)
 
 
 def main() -> int:
@@ -32,9 +25,9 @@ def main() -> int:
 
     failed = False
     for name in sorted(SUITES):
-        kwargs = QUICK_ARGS.get(name, {}) if args.quick else {}
+        options = QUICK_OPTIONS if args.quick else {}
         started = time.perf_counter()
-        result = SUITES[name](**kwargs)
+        result = run_suite(name, **options)
         elapsed = time.perf_counter() - started
         print(f"{result.summary()} time={elapsed:.1f}s")
         if not result.passed:

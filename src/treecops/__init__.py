@@ -7,22 +7,16 @@ from .graphs import (
     bfs_distances,
     build_graph,
     diameter,
-    distance,
-    eccentricity,
     format_graph,
     parse_graph,
-    read_graph,
-    write_graph,
 )
 from .trees import (
     RootedTree,
     add_leaf,
     diametral_path,
-    is_descendant,
     is_tree,
     root_tree,
     step_toward,
-    tree_diameter,
 )
 from .products import ProductGraph, cartesian_product
 from .generators import (
@@ -56,16 +50,15 @@ from .engine import (
     parse_trace,
     replay_trace,
     simulate,
-    write_trace,
 )
 from .solver import (
+    OptimalCop,
+    OptimalRobber,
     SolveResult,
     ValueTable,
     capture_time_both_orders,
     dump_value_table,
     naive_value_iteration,
-    optimal_cop_strategy,
-    optimal_robber_strategy,
     solve,
 )
 from .tree_strategies import (
@@ -77,9 +70,7 @@ from .tree_strategies import (
     TwoPhaseMemory,
     center_start,
     normalize_parity,
-    one_cop_strategy,
     product_initial_placement,
-    two_cop_strategy,
 )
 
 __version__ = "0.1.0"

@@ -76,17 +76,6 @@ def _escaped(report: BoundReport, claim_id: str) -> BoundReport:
     return report
 
 
-def is_corner(g: Graph, u: int) -> bool:
-    """True iff some other vertex dominates u: N[u] is a subset of N[v]."""
-    nu = set(g.closed_neighborhood(u))
-    for v in range(g.vertex_count):
-        if v == u:
-            continue
-        if nu <= set(g.closed_neighborhood(v)):
-            return True
-    return False
-
-
 def _induced_c4s(g: Graph) -> list[tuple[int, int, int, int]]:
     """All induced 4-cycles, canonically ordered, via common-neighbor pairs."""
     n = g.vertex_count

@@ -14,7 +14,6 @@ import sys
 import time
 from pathlib import Path
 
-from .bounds import FAIL
 from .engine import (
     GameConfig,
     IllegalMoveError,
@@ -27,14 +26,14 @@ from .engine import (
 from .generators import grid_graph, path_graph, random_tree
 from .graphs import Graph, GraphError, format_graph, parse_graph
 from .products import ProductGraph, cartesian_product
-from .solver import DEFAULT_STATE_BUDGET, dump_value_table, solve
+from .solver import DEFAULT_STATE_BUDGET, OptimalRobber, dump_value_table, solve
 from .strategies import (
     StrategyMismatchError,
     make_cop_strategy,
     make_robber_strategy,
 )
-from .suites import SUITES
-from .tree_strategies import StrategyInvariantError
+from .suites import SUITES, run_suite
+from .tree_strategies import ProductTwoCop, StrategyInvariantError
 
 BUDGET_ENV = "TREECOPS_STATE_BUDGET"
 
@@ -98,28 +97,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite_fn = SUITES.get(args.suite)
-    if suite_fn is None:
+    if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}", file=sys.stderr)
         return EXIT_INPUT
-    kwargs = {}
-    if args.suite == "thm1":
-        kwargs = {"max_size": args.max_size, "sample_count": args.count, "seed": args.seed}
-    elif args.suite in ("theorem2", "sandwich", "lemma3"):
-        kwargs = {"seed": args.seed, "count": args.count, "max_size": args.max_size}
-    elif args.suite == "constructive":
-        kwargs = {"seed": args.seed, "count": args.count,
-                  "max_size": args.max_size, "max_mn": args.max}
-    elif args.suite == "corollary-grid":
-        kwargs = {"max_mn": args.max}
-    elif args.suite == "move-order":
-        kwargs = {"seed": args.seed, "count": args.count}
-    if "max_size" in kwargs and args.max_size < 2:
-        # The corpora draw tree sizes from [2, max_size].
-        print(f"error: --max-size must be at least 2, got {args.max_size}", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        result = suite_fn(**kwargs)
+        result = run_suite(args.suite, seed=args.seed, count=args.count,
+                           max_size=args.max_size, max_mn=args.max)
     except StrategyInvariantError as exc:
         # A tripped strategy invariant is a failed verification, not bad input.
         print(f"suite {args.suite!r} aborted by invariant violation: {exc}", file=sys.stderr)
@@ -163,12 +146,9 @@ def _exemplar_strategy_trace(product: ProductGraph) -> str:
     # One replayable game of the two-cop strategy against the optimal
     # robber; not the full best-response tree, but enough to rerun the
     # failing instance offline.
-    from .solver import optimal_robber_strategy
-    from .tree_strategies import two_cop_strategy
-
-    robber = optimal_robber_strategy(solve(product.flat, 2))
+    robber = OptimalRobber(solve(product.flat, 2))
     trace = simulate(
-        product.flat, GameConfig(cop_count=2), two_cop_strategy(product), robber
+        product.flat, GameConfig(cop_count=2), ProductTwoCop(product), robber
     )
     return format_trace(
         trace, "counterexample", lambda v: "(%d,%d)" % product.pair_of(v)

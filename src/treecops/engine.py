@@ -18,7 +18,7 @@ import enum
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, TextIO
+from typing import Callable, Hashable
 
 from .graphs import Graph
 
@@ -420,11 +420,6 @@ def format_trace(
         raise ValueError("trace has no outcome")
     lines.append(str(trace.outcome))
     return "\n".join(lines) + "\n"
-
-
-def write_trace(trace: Trace, out: TextIO, graph_label: str = "<memory>",
-                vertex_label: Callable[[int], str] | None = None) -> None:
-    out.write(format_trace(trace, graph_label, vertex_label))
 
 
 @dataclass

@@ -12,7 +12,6 @@ import itertools
 from typing import Iterator, Sequence
 
 from .graphs import Graph, GraphError, build_graph
-from .products import cartesian_product
 
 _MASK64 = (1 << 64) - 1
 
@@ -45,10 +44,6 @@ class SplitMix64:
             r = self.next_u64() >> (64 - bits)
             if r < n:
                 return r
-
-    def choice(self, seq: Sequence):
-        return seq[self.below(len(seq))]
-
 
 def path_graph(n: int) -> Graph:
     if n < 2:
@@ -127,8 +122,3 @@ def all_labeled_trees(n: int) -> Iterator[Graph]:
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield build_graph(n, prufer_decode(seq, n))
-
-
-def product_of_paths(m: int, n: int):
-    """ProductGraph form of the m x n grid."""
-    return cartesian_product(path_graph(m), path_graph(n))

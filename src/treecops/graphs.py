@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -25,9 +25,6 @@ class Graph:
 
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
 
     def closed_neighborhood(self, u: int) -> tuple[int, ...]:
         """N[u]: u together with its neighbors, sorted."""
@@ -110,31 +107,13 @@ def bfs_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:
     return dist, parent
 
 
-def eccentricity(g: Graph, u: int) -> int:
-    return max(bfs_distances(g, u))
-
-
 def diameter(g: Graph) -> int:
     """Maximum distance between any two vertices, by all-sources BFS."""
     return max(max(bfs_distances(g, s)) for s in range(g.vertex_count))
 
 
-def distance(g: Graph, u: int, v: int) -> int:
-    return bfs_distances(g, u)[v]
-
-
 def is_tree(g: Graph) -> bool:
     return g.edge_count == g.vertex_count - 1
-
-
-def shortest_path(g: Graph, u: int, v: int) -> list[int]:
-    """One shortest u-v path (deterministic; unique on trees)."""
-    _, parent = bfs_parents(g, u)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 # --- plain text format ------------------------------------------------------
@@ -167,11 +146,3 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"bad edge line: {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return build_graph(n, edges)
-
-
-def write_graph(g: Graph, out: TextIO) -> None:
-    out.write(format_graph(g))
-
-
-def read_graph(inp: TextIO) -> Graph:
-    return parse_graph(inp.read())

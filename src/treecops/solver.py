@@ -80,6 +80,7 @@ from .engine import (
     ResourceBudgetError,
     RobberStrategy,
     is_escape,
+    legal_cop_moves,
 )
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -163,7 +164,6 @@ class SolveResult:
     capture_time: CaptureValue
     central_tuples: tuple[tuple[int, ...], ...]
     table: ValueTable
-    resolution_order: tuple[tuple[tuple[int, ...], int, int], ...] | None = None
 
 
 def dump_value_table(table: ValueTable) -> str:
@@ -309,7 +309,6 @@ def solve(
     order: MoveOrder = MoveOrder.ROBBER_FIRST,
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    record_order: bool = False,
 ) -> SolveResult:
     """Exact capture time, central tuples, and the full value table."""
     if k < 1:
@@ -327,15 +326,10 @@ def solve(
     else:
         stored, other = cops_to_move, robber_to_move
     capture_time, central = _capture(stored)
-    log = None
-    if record_order:  # a stable sort by value keeps tuple-then-robber order per level
-        resolved = [(t, r, v) for (t, r), v in stored.items() if not is_escape(v)]
-        log = tuple(sorted(resolved, key=lambda entry: entry[2]))
     return SolveResult(
         capture_time=capture_time,
         central_tuples=central,
         table=ValueTable(g, k, order, stored, other),
-        resolution_order=log,
     )
 
 
@@ -384,6 +378,8 @@ def naive_value_iteration(
         )
     closed = _closed_lists(g)
     ordered = list(itertools.product(range(n), repeat=k))
+    # The oracle's own copy of the cop-move rule, so it shares no move code
+    # with the engine or the fast solver.
     cop_moves = {t: list(itertools.product(*(closed[c] for c in t))) for t in ordered}
     robber_first = order is MoveOrder.ROBBER_FIRST
 
@@ -514,7 +510,7 @@ class OptimalCop(CopStrategy):
     def respond(self, g: Graph, state: GameState, memory):
         best_mv = None
         best: CaptureValue = ESCAPE
-        for mv in itertools.product(*(g.closed_neighborhood(c) for c in state.cops)):
+        for mv in legal_cop_moves(g, state.cops):
             v = self._reply_value(mv, state.robber)
             if is_escape(v):
                 continue
@@ -565,11 +561,3 @@ class OptimalRobber(RobberStrategy):
         if best_r is None:
             best_r = state.robber  # staying is always legal while uncaptured
         return best_r, memory
-
-
-def optimal_cop_strategy(result: SolveResult) -> OptimalCop:
-    return OptimalCop(result)
-
-
-def optimal_robber_strategy(result: SolveResult) -> OptimalRobber:
-    return OptimalRobber(result)

@@ -5,9 +5,9 @@ from .engine import CopStrategy, GameState, Graph, MoveOrder, RobberStrategy
 from .generators import splitmix64_next
 from .graphs import bfs_distances
 from .products import ProductGraph
-from .solver import solve, optimal_cop_strategy, optimal_robber_strategy
+from .solver import DEFAULT_STATE_BUDGET, OptimalCop, OptimalRobber, solve
 from .trees import is_tree
-from .tree_strategies import one_cop_strategy, two_cop_strategy
+from .tree_strategies import ProductTwoCop, TreeChaseCop
 
 
 class StationaryCop(CopStrategy):
@@ -78,10 +78,6 @@ class RandomRobber(RobberStrategy):
         return options[value % len(options)], state
 
 
-COP_STRATEGY_NAMES = ("thm1", "lemma2", "optimal", "random", "stationary")
-ROBBER_STRATEGY_NAMES = ("optimal", "random", "stationary")
-
-
 class StrategyMismatchError(ValueError):
     """Strategy name incompatible with the given graph."""
 
@@ -94,23 +90,22 @@ def make_cop_strategy(
     product: ProductGraph | None = None,
     order: MoveOrder = MoveOrder.ROBBER_FIRST,
     seed: int = 0,
-    state_budget: int | None = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> CopStrategy:
     if name == "thm1":
         if product is not None or not is_tree(g):
             raise StrategyMismatchError("'thm1' plays one cop on a single tree")
         if k != 1:
             raise StrategyMismatchError("'thm1' needs exactly one cop")
-        return one_cop_strategy(g)
+        return TreeChaseCop(g)
     if name == "lemma2":
         if product is None:
             raise StrategyMismatchError("'lemma2' plays on a product of two trees")
         if k != 2:
             raise StrategyMismatchError("'lemma2' needs exactly two cops")
-        return two_cop_strategy(product)
+        return ProductTwoCop(product)
     if name == "optimal":
-        kwargs = {} if state_budget is None else {"state_budget": state_budget}
-        return optimal_cop_strategy(solve(g, k, order, **kwargs))
+        return OptimalCop(solve(g, k, order, state_budget=state_budget))
     if name == "random":
         return RandomCop(k, seed)
     if name == "stationary":
@@ -125,11 +120,10 @@ def make_robber_strategy(
     *,
     order: MoveOrder = MoveOrder.ROBBER_FIRST,
     seed: int = 0,
-    state_budget: int | None = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> RobberStrategy:
     if name == "optimal":
-        kwargs = {} if state_budget is None else {"state_budget": state_budget}
-        return optimal_robber_strategy(solve(g, k, order, **kwargs))
+        return OptimalRobber(solve(g, k, order, state_budget=state_budget))
     if name == "random":
         return RandomRobber(seed)
     if name == "stationary":

@@ -5,13 +5,13 @@ fixed configuration, so identical runs emit byte-identical claim lines.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 from .bounds import (
     BoundReport,
     FAIL,
     PASS,
-    VACUOUS,
     check_corollaries,
     check_lemma3,
     check_multi_tree_bounds,
@@ -31,7 +31,7 @@ from .generators import (
 from .graphs import Graph, diameter
 from .products import ProductGraph, cartesian_product
 from .solver import capture_time_both_orders, solve
-from .tree_strategies import one_cop_strategy, two_cop_strategy
+from .tree_strategies import ProductTwoCop, TreeChaseCop
 
 
 @dataclass
@@ -87,7 +87,7 @@ def tree_pair_corpus(
     return corpus
 
 
-def suite_thm1(max_size: int = 7, sample_count: int = 100, seed: int = 11) -> SuiteResult:
+def suite_thm1(max_size: int = 7, count: int = 100, seed: int = 11) -> SuiteResult:
     """capt1 of every labeled tree up to max_size equals ceil(diam/2);
     the one-cop chase achieves the same value on a seeded sample."""
     result = SuiteResult("thm1")
@@ -100,11 +100,11 @@ def suite_thm1(max_size: int = 7, sample_count: int = 100, seed: int = 11) -> Su
             result.reports.append(report)
     rng = SplitMix64(seed)
     config = GameConfig(cop_count=1)
-    for i in range(sample_count):
+    for i in range(count):
         n = 2 + rng.below(max_size - 1)
         tree = random_tree(n, rng.next_u64())
         want = (diameter(tree) + 1) // 2
-        got = best_response_length(tree, config, one_cop_strategy(tree))
+        got = best_response_length(tree, config, TreeChaseCop(tree))
         report = BoundReport(instance=f"thm1-strategy[{i}] n={n}")
         value = -1 if is_escape(got) else got
         report.claims.append(make_claim("thm1-strategy", value, "==", want))
@@ -112,21 +112,28 @@ def suite_thm1(max_size: int = 7, sample_count: int = 100, seed: int = 11) -> Su
     return result
 
 
-def _pair_products(corpus) -> list[tuple[ProductGraph, str]]:
+def _pair_products(seed: int, count: int, max_size: int) -> list[tuple[ProductGraph, str]]:
+    corpus = tree_pair_corpus(seed, count, 2, max_size)
     return [(cartesian_product(t1, t2), desc) for t1, t2, desc in corpus]
+
+
+def _solve_each(name: str, instances, check) -> SuiteResult:
+    """Solve each (subject, desc) instance at two cops, check the subject
+    against the solve, and tag the report; a product is solved flat."""
+    result = SuiteResult(name)
+    for subject, desc in instances:
+        g = subject.flat if isinstance(subject, ProductGraph) else subject
+        report = check(subject, solve(g, 2))
+        report.instance = f"{desc} {report.instance}"
+        report.provenance["graph"] = g
+        result.reports.append(report)
+    return result
 
 
 def suite_theorem2(seed: int = 42, count: int = 50, max_size: int = 7) -> SuiteResult:
     """capt2 of random two-tree products equals floor(diam/2), plus the
     full diameter-chain checks."""
-    result = SuiteResult("theorem2")
-    for product, desc in _pair_products(tree_pair_corpus(seed, count, 2, max_size)):
-        solved = solve(product.flat, 2)
-        report = check_theorem2(product, solved)
-        report.instance = f"{desc} {report.instance}"
-        report.provenance["graph"] = product.flat
-        result.reports.append(report)
-    return result
+    return _solve_each("theorem2", _pair_products(seed, count, max_size), check_theorem2)
 
 
 def suite_corollary_grid(max_mn: int = 5) -> SuiteResult:
@@ -149,33 +156,19 @@ def suite_corollary_grid(max_mn: int = 5) -> SuiteResult:
 
 
 def suite_sandwich(seed: int = 42, count: int = 50, max_size: int = 7) -> SuiteResult:
-    result = SuiteResult("sandwich")
-    for product, desc in _pair_products(tree_pair_corpus(seed, count, 2, max_size)):
-        solved = solve(product.flat, 2)
-        report = check_corollaries(product, solved)
-        report.instance = f"{desc} {report.instance}"
-        report.provenance["graph"] = product.flat
-        result.reports.append(report)
-    return result
+    return _solve_each("sandwich", _pair_products(seed, count, max_size), check_corollaries)
 
 
 def suite_lemma3(seed: int = 42, count: int = 50, max_size: int = 7) -> SuiteResult:
     """The central-tuple distance inequality on products, grids, and the
     4-cycle."""
-    result = SuiteResult("lemma3")
-    instances: list[tuple[Graph, str]] = []
-    for product, desc in _pair_products(tree_pair_corpus(seed, count, 2, max_size)):
-        instances.append((product.flat, desc))
+    instances: list[tuple[Graph, str]] = [
+        (product.flat, desc) for product, desc in _pair_products(seed, count, max_size)
+    ]
     for m, n in [(2, 2), (3, 3), (3, 4), (4, 5), (5, 5)]:
         instances.append((grid_graph(m, n), f"grid[{m}x{n}]"))
     instances.append((cycle_graph(4), "cycle4"))
-    for g, desc in instances:
-        solved = solve(g, 2)
-        report = check_lemma3(g, solved)
-        report.instance = f"{desc} {report.instance}"
-        report.provenance["graph"] = g
-        result.reports.append(report)
-    return result
+    return _solve_each("lemma3", instances, check_lemma3)
 
 
 def suite_constructive(seed: int = 42, count: int = 50, max_size: int = 7,
@@ -185,9 +178,7 @@ def suite_constructive(seed: int = 42, count: int = 50, max_size: int = 7,
     violation or virtual-vertex move raises and fails the suite run."""
     result = SuiteResult("constructive")
     config = GameConfig(cop_count=2)
-    worlds: list[tuple[ProductGraph, str]] = list(
-        _pair_products(tree_pair_corpus(seed, count, 2, max_size))
-    )
+    worlds = _pair_products(seed, count, max_size)
     for m in range(2, max_mn + 1):
         for n in range(2, max_mn + 1):
             worlds.append(
@@ -195,7 +186,7 @@ def suite_constructive(seed: int = 42, count: int = 50, max_size: int = 7,
             )
     for product, desc in worlds:
         want = (diameter(product.factor1) + diameter(product.factor2)) // 2
-        strategy = two_cop_strategy(product)
+        strategy = ProductTwoCop(product)
         got = best_response_length(product.flat, config, strategy)
         report = BoundReport(instance=f"{desc} constructive")
         value = -1 if is_escape(got) else got
@@ -273,3 +264,27 @@ SUITES = {
     "move-order": suite_move_order,
     "constructive": suite_constructive,
 }
+
+
+# Least accepted value of each checked suite option, with its CLI flag;
+# the corpora draw tree sizes from [2, max_size].
+_OPTION_FLOORS = {"count": ("--count", 0), "max_size": ("--max-size", 2), "max_mn": ("--max", 1)}
+
+
+def run_suite(name: str, **options) -> SuiteResult:
+    """Run ``SUITES[name]`` with the options its signature names.
+
+    The options are ``seed``, ``count``, ``max_size`` and ``max_mn``;
+    those the suite does not take are ignored, and each one it takes is
+    checked before any work runs (a ValueError names the flag).  The
+    entry is looked up per call and its signature read through any
+    ``__wrapped__``, so a wrapper bound into ``SUITES`` still gets the
+    options of the function it wraps.
+    """
+    suite = SUITES[name]
+    params = inspect.signature(suite).parameters
+    kwargs = {key: value for key, value in options.items() if key in params}
+    for key, (flag, least) in _OPTION_FLOORS.items():
+        if key in kwargs and kwargs[key] < least:
+            raise ValueError(f"{flag} must be at least {least}, got {kwargs[key]}")
+    return suite(**kwargs)

@@ -43,9 +43,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import CopStrategy, GameState, Graph
-from .graphs import bfs_distances
 from .products import ProductGraph
-from .trees import RootedTree, add_leaf, diametral_path, is_tree, next_hop_table, root_tree
+from .trees import RootedTree, add_leaf, diametral_path, is_tree, root_tree, tree_rows
 
 PHASE_EQUALIZE = "equalize"
 PHASE_ENDGAME = "endgame"
@@ -77,7 +76,7 @@ class TreeChaseCop(CopStrategy):
             raise ValueError("TreeChaseCop plays on a tree")
         self.tree = tree
         self.start = center_start(tree)
-        self._hop = next_hop_table(tree)
+        self._hop = [hop for _, hop in tree_rows(tree)]
 
     def place(self, g: Graph):
         return (self.start,), None
@@ -87,10 +86,6 @@ class TreeChaseCop(CopStrategy):
         if cop == state.robber:
             return state.cops, memory
         return (self._hop[state.robber][cop],), memory
-
-
-def one_cop_strategy(t: Graph) -> TreeChaseCop:
-    return TreeChaseCop(t)
 
 
 @dataclass(frozen=True)
@@ -195,10 +190,8 @@ class ProductTwoCop(CopStrategy):
         self.plan = product_initial_placement(self.tree1, self.tree2)
         self.root2 = self.plan.path2[self.plan.n]  # b_{n+1}, fixed for the game
         self.initial_root1 = self.plan.path1[self.plan.m + 1]
-        self._dist1 = [bfs_distances(self.tree1, v) for v in range(self.tree1.vertex_count)]
-        self._dist2 = [bfs_distances(self.tree2, v) for v in range(self.tree2.vertex_count)]
-        self._hop1 = next_hop_table(self.tree1)
-        self._hop2 = next_hop_table(self.tree2)
+        self._dist1, self._hop1 = zip(*tree_rows(self.tree1))
+        self._dist2, self._hop2 = zip(*tree_rows(self.tree2))
         pairs = [product.pair_of(f) for f in range(product.flat.vertex_count)]
         if self.parity.swapped:
             pairs = [(x2, x1) for x1, x2 in pairs]
@@ -452,7 +445,3 @@ class ProductTwoCop(CopStrategy):
                 + "; ".join(problems)
                 + f" [u1={u1} v1={v1} u2={u2} r={r} root1={rt1.root} root2={self.root2}]"
             )
-
-
-def two_cop_strategy(product: ProductGraph) -> ProductTwoCop:
-    return ProductTwoCop(product)

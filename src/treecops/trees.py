@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Graph, GraphError, bfs_distances, bfs_parents, is_tree
 
@@ -75,10 +76,6 @@ def root_tree(t: Graph, root: int) -> RootedTree:
     )
 
 
-def is_descendant(rt: RootedTree, ancestor: int, v: int) -> bool:
-    return rt.is_descendant(ancestor, v)
-
-
 def _farthest(dist: list[int]) -> int:
     # Smallest id among the maximizers, for deterministic paths.
     best = 0
@@ -109,11 +106,6 @@ def diametral_path(t: Graph) -> list[int]:
     return path
 
 
-def tree_diameter(t: Graph) -> int:
-    """Diameter via the double-BFS shortcut (trees only)."""
-    return len(diametral_path(t)) - 1
-
-
 def step_toward(t: Graph, frm: int, to: int) -> int:
     """The unique neighbor of `frm` on the frm-to path in the tree."""
     if frm == to:
@@ -125,20 +117,20 @@ def step_toward(t: Graph, frm: int, to: int) -> int:
     raise GraphError(f"no step from {frm} toward {to}; graph is not a tree?")
 
 
-def next_hop_table(t: Graph) -> list[list[int]]:
-    """hop[to][frm]: first step from frm toward to (hop[to][to] = to).
+def tree_rows(t: Graph) -> Iterator[tuple[list[int], list[int]]]:
+    """(dist, hop) rows of a tree, one BFS per source s = 0, 1, ...
 
-    In a tree that step is frm's parent when the tree hangs from `to`, so
-    each row is the parent array of one BFS.
+    dist[v] is the distance from s to v.  hop[frm] is the first step from
+    frm toward s (hop[s] = s): in a tree that step is frm's parent when
+    the tree hangs from s, so hop is the parent array of the same BFS.
+    Rows are yielded one at a time, so a caller keeps only what it needs.
     """
     if not is_tree(t):
-        raise GraphError("next_hop_table requires a tree")
-    table: list[list[int]] = []
-    for to in range(t.vertex_count):
-        row = bfs_parents(t, to)[1]
-        row[to] = to
-        table.append(row)
-    return table
+        raise GraphError("tree_rows requires a tree")
+    for s in range(t.vertex_count):
+        dist, hop = bfs_parents(t, s)
+        hop[s] = s
+        yield dist, hop
 
 
 def add_leaf(t: Graph, at: int) -> Graph:

@@ -22,14 +22,14 @@ from treecops import (
     grid_graph,
     is_escape,
     naive_value_iteration,
-    one_cop_strategy,
-    optimal_cop_strategy,
-    optimal_robber_strategy,
+    TreeChaseCop,
+    OptimalCop,
+    OptimalRobber,
     path_graph,
     random_tree,
     simulate,
     solve,
-    two_cop_strategy,
+    ProductTwoCop,
 )
 from treecops.bounds import check_lemma3, check_multi_tree_bounds
 from treecops.generators import SplitMix64, all_labeled_trees
@@ -85,7 +85,7 @@ def test_criterion_2_one_cop_tree_capture_time():
     for _ in range(100):
         tree = random_tree(2 + rng.below(6), rng.next_u64())
         want = (diameter(tree) + 1) // 2
-        got = best_response_length(tree, config, one_cop_strategy(tree))
+        got = best_response_length(tree, config, TreeChaseCop(tree))
         assert got == want
     announce(2, "one-cop capture time, exhaustive to 7 + strategy sample", started)
 
@@ -108,7 +108,7 @@ def test_criterion_4_constructive_strategy(corpus_solved):
                 (cartesian_product(path_graph(m), path_graph(n)), m + n - 2)
             )
     for product, diam in worlds:
-        strategy = two_cop_strategy(product)
+        strategy = ProductTwoCop(product)
         # Invariant violations and virtual-vertex moves raise; an
         # exception anywhere in the exhaustive search fails the test.
         got = best_response_length(product.flat, config, strategy)
@@ -189,8 +189,8 @@ def _self_play_matches(g: Graph, result) -> bool:
     trace = simulate(
         g,
         GameConfig(cop_count=result.table.cop_count, move_order=result.table.move_order),
-        optimal_cop_strategy(result),
-        optimal_robber_strategy(result),
+        OptimalCop(result),
+        OptimalRobber(result),
     )
     return trace.outcome.captured and trace.outcome.round == result.capture_time
 

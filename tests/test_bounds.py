@@ -1,7 +1,6 @@
 import itertools
 
 from treecops import (
-    build_graph,
     cartesian_product,
     cycle_graph,
     diameter,
@@ -19,7 +18,6 @@ from treecops.bounds import (
     check_lemma3,
     check_multi_tree_bounds,
     check_theorem2,
-    is_corner,
     make_claim,
     n_tree_upper_bound,
     qualifying_c4_vertices,
@@ -34,30 +32,6 @@ def test_claim_statuses_and_lines():
     assert claim.line() == "CLAIM x 2 <= 5 PASS"
     assert make_claim("x", 6, "<=", 5).status == FAIL
     assert vacuous_claim("y").line() == "CLAIM y 0 <= 0 VACUOUS"
-
-
-def test_corner_path_endpoint():
-    assert is_corner(path_graph(3), 0)          # dominated by the center
-    assert not is_corner(path_graph(3), 1)
-
-
-def test_corner_grid_vertex_is_not_dominated():
-    g = grid_graph(3, 3)
-    assert not is_corner(g, 0)
-    assert not any(is_corner(g, u) for u in range(9))
-
-
-def test_corner_cycle4_has_none():
-    assert not any(is_corner(cycle_graph(4), u) for u in range(4))
-
-
-def test_corner_invariant_under_relabeling():
-    # Reverse the vertex labels of a small tree and compare.
-    t = random_tree(7, 21)
-    n = t.vertex_count
-    relabeled = build_graph(n, [(n - 1 - u, n - 1 - v) for u, v in t.edges()])
-    for u in range(n):
-        assert is_corner(t, u) == is_corner(relabeled, n - 1 - u)
 
 
 def _qualifying_by_subsets(g):

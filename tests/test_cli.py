@@ -313,10 +313,14 @@ def test_verify_with_only_failing_claims_does_not_say_nothing_checked(
 @pytest.mark.parametrize(
     "suite, prefix",
     [("theorem2", "ef315043a622b2be"), ("sandwich", "2447b7968d45768c"),
-     ("lemma3", "3205625952e6a840")],
+     ("lemma3", "3205625952e6a840"), ("thm1", "dcc9efbb8b02dab2"),
+     ("corollary-grid", "fa32bcc1655f706e"), ("three-trees", "a6ebfccf9e3f7722"),
+     ("move-order", "c3e76d41bef9dc30"), ("constructive", "e634697cf0992a02")],
 )
 def test_verify_stdout_at_defaults_is_pinned(capsys, tmp_path, suite, prefix):
-    # Digests of the stdout written before the rank-table move relation.
+    # Digests of the stdout written before the rank-table move relation
+    # (theorem2, sandwich, lemma3) and before options were mapped to suites
+    # by their signatures (the others).
     rc, out, _ = run_cli(capsys, "verify", "--suite", suite, "--out", str(tmp_path / "f"))
     assert rc == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
@@ -357,3 +361,38 @@ def test_verify_rejects_max_size_below_two(capsys, tmp_path, suite, max_size):
     assert rc == EXIT_INPUT
     assert out == ""
     assert "--max-size" in err and "below()" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--suite", "theorem2", "--count", "-1"), "--count must be at least 0, got -1"),
+    (("--suite", "corollary-grid", "--max", "-2"), "--max must be at least 1, got -2"),
+], ids=["count", "max"])
+def test_verify_rejects_option_below_its_floor(capsys, tmp_path, argv, message):
+    rc, out, err = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "f"))
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert f"error: {message}" in err
+    assert not (tmp_path / "f").exists()
+
+
+def test_verify_checks_only_the_options_the_suite_takes(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "three-trees", "--count", "-1",
+                         "--max", "0", "--max-size", "0", "--out", str(tmp_path / "f"))
+    assert rc == EXIT_OK
+    assert "SUMMARY suite=three-trees reports=4" in out
+
+
+def test_verify_maps_each_option_to_its_parameter(capsys, monkeypatch):
+    import treecops.suites as suites
+
+    seen = {}
+
+    def stand_in(seed, count, max_size, max_mn):
+        seen.update(seed=seed, count=count, max_size=max_size, max_mn=max_mn)
+        return suites.SuiteResult("constructive")
+
+    monkeypatch.setitem(suites.SUITES, "constructive", stand_in)
+    rc, _, _ = run_cli(capsys, "verify", "--suite", "constructive", "--seed", "5",
+                       "--count", "3", "--max-size", "4", "--max", "2")
+    assert rc == EXIT_VERIFY_FAIL  # the stand-in checks nothing
+    assert seen == {"seed": 5, "count": 3, "max_size": 4, "max_mn": 2}

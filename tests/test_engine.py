@@ -14,15 +14,15 @@ from treecops import (
     format_trace,
     grid_graph,
     legal_cop_moves,
-    one_cop_strategy,
-    optimal_robber_strategy,
+    TreeChaseCop,
+    OptimalRobber,
     parse_trace,
     path_graph,
     replay_trace,
     simulate,
     solve,
     star_graph,
-    two_cop_strategy,
+    ProductTwoCop,
     cartesian_product,
 )
 from treecops.engine import CopStrategy, RobberStrategy
@@ -36,12 +36,13 @@ class GreedyCop(CopStrategy):
         return (0,), None
 
     def respond(self, g, state, memory):
-        from treecops.graphs import shortest_path
+        from treecops.graphs import bfs_distances
 
         cop, robber = state.cops[0], state.robber
         if cop == robber:
             return state.cops, memory
-        return (shortest_path(g, cop, robber)[1],), memory
+        dist = bfs_distances(g, robber)
+        return (next(v for v in g.adjacency[cop] if dist[v] < dist[cop]),), memory
 
 
 class BrokenCop(CopStrategy):
@@ -143,9 +144,9 @@ def test_simulate_capture_at_placement():
 
 def test_simulate_two_cop_strategy_vs_optimal_robber_on_grid():
     prod = cartesian_product(path_graph(3), path_graph(3))
-    robber = optimal_robber_strategy(solve(prod.flat, 2))
+    robber = OptimalRobber(solve(prod.flat, 2))
     trace = simulate(
-        prod.flat, GameConfig(cop_count=2), two_cop_strategy(prod), robber
+        prod.flat, GameConfig(cop_count=2), ProductTwoCop(prod), robber
     )
     assert trace.outcome.captured
     assert trace.outcome.round <= 2  # floor((3+3)/2) - 1
@@ -168,8 +169,8 @@ def test_max_rounds_cutoff_survives():
 
 def test_trace_moves_are_single_steps():
     prod = cartesian_product(path_graph(4), path_graph(3))
-    robber = optimal_robber_strategy(solve(prod.flat, 2))
-    trace = simulate(prod.flat, GameConfig(cop_count=2), two_cop_strategy(prod), robber)
+    robber = OptimalRobber(solve(prod.flat, 2))
+    trace = simulate(prod.flat, GameConfig(cop_count=2), ProductTwoCop(prod), robber)
     g = prod.flat
     prev_r, prev_c = trace.robber_start, trace.cops_start
     for rec in trace.rounds:
@@ -187,9 +188,9 @@ def test_trace_moves_are_single_steps():
 @pytest.mark.parametrize("order", list(MoveOrder))
 def test_replay_reproduces_trace(order):
     prod = cartesian_product(path_graph(4), path_graph(3))
-    robber = optimal_robber_strategy(solve(prod.flat, 2, order))
+    robber = OptimalRobber(solve(prod.flat, 2, order))
     config = GameConfig(cop_count=2, move_order=order)
-    trace = simulate(prod.flat, config, two_cop_strategy(prod), robber)
+    trace = simulate(prod.flat, config, ProductTwoCop(prod), robber)
     replayed = replay_trace(trace)
     assert replayed.cops_start == trace.cops_start
     assert replayed.robber_start == trace.robber_start
@@ -214,13 +215,13 @@ def test_trace_format_and_parse():
 
 def test_best_response_one_cop_on_path5():
     g = path_graph(5)
-    value = best_response_length(g, GameConfig(cop_count=1), one_cop_strategy(g))
+    value = best_response_length(g, GameConfig(cop_count=1), TreeChaseCop(g))
     assert value == 2
 
 
 def test_best_response_one_cop_on_path2():
     g = path_graph(2)
-    assert best_response_length(g, GameConfig(cop_count=1), one_cop_strategy(g)) == 1
+    assert best_response_length(g, GameConfig(cop_count=1), TreeChaseCop(g)) == 1
 
 
 def test_best_response_budget_error_carries_count():
@@ -241,11 +242,11 @@ def test_best_response_stationary_cop_escapes():
 def test_best_response_upper_bounds_any_single_game():
     g = grid_graph(3, 3)
     prod = cartesian_product(path_graph(3), path_graph(3))
-    strategy = two_cop_strategy(prod)
+    strategy = ProductTwoCop(prod)
     config = GameConfig(cop_count=2)
     bound = best_response_length(prod.flat, config, strategy)
-    robber = optimal_robber_strategy(solve(g, 2))
-    trace = simulate(g, config, two_cop_strategy(prod), robber)
+    robber = OptimalRobber(solve(g, 2))
+    trace = simulate(g, config, ProductTwoCop(prod), robber)
     assert trace.outcome.captured
     assert trace.outcome.round <= bound
 
@@ -253,9 +254,9 @@ def test_best_response_upper_bounds_any_single_game():
 def test_best_response_random_robber_never_beats_it():
     g = path_graph(5)
     config = GameConfig(cop_count=1)
-    bound = best_response_length(g, config, one_cop_strategy(g))
+    bound = best_response_length(g, config, TreeChaseCop(g))
     for seed in range(5):
-        trace = simulate(g, config, one_cop_strategy(g), RandomRobber(seed))
+        trace = simulate(g, config, TreeChaseCop(g), RandomRobber(seed))
         assert trace.outcome.captured
         assert trace.outcome.round <= bound
 
@@ -263,8 +264,8 @@ def test_best_response_random_robber_never_beats_it():
 def test_best_response_cops_first_order():
     g = cycle_graph(4)
     res = solve(g, 2, MoveOrder.COPS_FIRST)
-    from treecops import optimal_cop_strategy
+    from treecops import OptimalCop
 
-    cop = optimal_cop_strategy(res)
+    cop = OptimalCop(res)
     config = GameConfig(cop_count=2, move_order=MoveOrder.COPS_FIRST)
     assert best_response_length(g, config, cop) == res.capture_time

@@ -17,8 +17,8 @@ from treecops import (
     grid_graph,
     is_escape,
     naive_value_iteration,
-    optimal_cop_strategy,
-    optimal_robber_strategy,
+    OptimalCop,
+    OptimalRobber,
     path_graph,
     random_tree,
     simulate,
@@ -100,21 +100,6 @@ def test_values_satisfy_recurrence():
             assert recomputed == value
 
 
-def test_resolution_order_nondecreasing():
-    # The log is the finite part of the stored table, in level order; a
-    # 4-cycle with a pendant vertex mixes escapes and finite values.
-    pendant_c4 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    for g, k in [(grid_graph(3, 3), 2), (pendant_c4, 1), (grid_graph(2, 3), 3)]:
-        for order in MoveOrder:
-            res = solve(g, k, order, record_order=True)
-            values = [v for (_, _, v) in res.resolution_order]
-            assert values == sorted(values)
-            assert len(values) > 0
-            finite = {key: v for key, v in res.table.value.items() if not is_escape(v)}
-            assert {(t, r): v for (t, r, v) in res.resolution_order} == finite
-            assert len(values) == len(finite)
-
-
 def test_budget_error_carries_count():
     with pytest.raises(ResourceBudgetError) as exc:
         solve(grid_graph(3, 3), 2, state_budget=10)
@@ -182,7 +167,7 @@ def test_monotonicity_in_cop_count():
 
 def test_optimal_robber_placement_on_path4():
     res = solve(path_graph(4), 1)
-    robber = optimal_robber_strategy(res)
+    robber = OptimalRobber(res)
     r, _ = robber.place(path_graph(4), (1,))
     # Value 2 is achieved at both far vertices; smallest id wins the tie.
     assert res.table.value_of((1,), r) == 2
@@ -190,13 +175,13 @@ def test_optimal_robber_placement_on_path4():
 
 
 def test_optimal_cop_places_smallest_central_tuple():
-    cop = optimal_cop_strategy(solve(path_graph(4), 1))
+    cop = OptimalCop(solve(path_graph(4), 1))
     assert cop.place(path_graph(4))[0] == (1,)
 
 
 def test_optimal_cop_rejects_escape():
     with pytest.raises(ValueError):
-        optimal_cop_strategy(solve(cycle_graph(4), 1))
+        OptimalCop(solve(cycle_graph(4), 1))
 
 
 def test_self_play_matches_capture_time():
@@ -215,8 +200,8 @@ def test_self_play_matches_capture_time():
             trace = simulate(
                 g,
                 GameConfig(cop_count=k, move_order=order),
-                optimal_cop_strategy(res),
-                optimal_robber_strategy(res),
+                OptimalCop(res),
+                OptimalRobber(res),
             )
             assert trace.outcome.captured
             assert trace.outcome.round == res.capture_time
@@ -228,7 +213,7 @@ def test_robber_with_all_neighbors_covered_stays_until_caught():
     g = star_graph(4)
     res = solve(g, 1)
     assert res.capture_time == 1
-    robber = optimal_robber_strategy(res)
+    robber = OptimalRobber(res)
     from treecops import GameState, Side
 
     state = GameState((0,), 2, 1, Side.ROBBER)
@@ -353,7 +338,7 @@ def test_optimal_moves_are_the_recurrence_argmin(g, k, order):
     from treecops import GameState, Side
 
     res = solve(g, k, order)
-    cop, robber = optimal_cop_strategy(res), optimal_robber_strategy(res)
+    cop, robber = OptimalCop(res), OptimalRobber(res)
     n = g.vertex_count
     for cops in itertools.product(range(n), repeat=k):
         for r in range(n):

@@ -1,5 +1,10 @@
+import functools
+
+import pytest
+
 from treecops.suites import (
     SUITES,
+    SuiteResult,
     suite_constructive,
     suite_corollary_grid,
     suite_lemma3,
@@ -8,6 +13,7 @@ from treecops.suites import (
     suite_theorem2,
     suite_thm1,
     suite_three_trees,
+    run_suite,
     tree_pair_corpus,
 )
 
@@ -32,7 +38,7 @@ def test_corpus_deterministic_and_sized():
 
 
 def test_thm1_small():
-    result = suite_thm1(max_size=5, sample_count=10, seed=2)
+    result = suite_thm1(max_size=5, count=10, seed=2)
     assert result.passed
     npass, nfail, nvac = result.counts()
     assert nfail == 0 and nvac == 0
@@ -82,3 +88,36 @@ def test_summary_line_format():
     result = suite_three_trees()
     line = result.summary()
     assert line.startswith("SUMMARY suite=three-trees reports=4 pass=")
+
+
+# The options each suite takes, as the command line has always passed them.
+_SUITE_OPTIONS = {
+    "thm1": {"seed", "count", "max_size"},
+    "theorem2": {"seed", "count", "max_size"},
+    "sandwich": {"seed", "count", "max_size"},
+    "lemma3": {"seed", "count", "max_size"},
+    "constructive": {"seed", "count", "max_size", "max_mn"},
+    "corollary-grid": {"max_mn"},
+    "move-order": {"seed", "count"},
+    "three-trees": set(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUITE_OPTIONS))
+def test_run_suite_passes_exactly_the_options_the_signature_names(monkeypatch, name):
+    # The stand-in wraps the real suite the way a tracing wrapper does, so
+    # its signature is only reachable through __wrapped__.
+    calls = []
+    real = SUITES[name]
+
+    @functools.wraps(real)
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return SuiteResult(name)
+
+    monkeypatch.setitem(SUITES, name, recording)
+    options = {"seed": 5, "count": 3, "max_size": 4, "max_mn": 2}
+    result = run_suite(name, **options)
+    assert result.name == name
+    assert calls == [((), {k: v for k, v in options.items() if k in _SUITE_OPTIONS[name]})]
+

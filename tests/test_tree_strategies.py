@@ -12,15 +12,15 @@ from treecops import (
     diameter,
     is_escape,
     normalize_parity,
-    one_cop_strategy,
-    optimal_robber_strategy,
+    TreeChaseCop,
+    OptimalRobber,
     path_graph,
     product_initial_placement,
     random_tree,
     simulate,
     solve,
     star_graph,
-    two_cop_strategy,
+    ProductTwoCop,
     TwoPhaseMemory,
 )
 from treecops.engine import advance_round
@@ -46,14 +46,14 @@ def test_center_start_star_is_center():
 def test_one_cop_best_response_is_half_diameter():
     for n in (2, 3, 5, 6):
         t = path_graph(n)
-        got = best_response_length(t, GameConfig(cop_count=1), one_cop_strategy(t))
+        got = best_response_length(t, GameConfig(cop_count=1), TreeChaseCop(t))
         assert got == n // 2  # ceil((n-1)/2)
 
 
 def test_one_cop_matches_solver_on_random_tree():
     t = random_tree(9, 3)
     want = solve(t, 1).capture_time
-    got = best_response_length(t, GameConfig(cop_count=1), one_cop_strategy(t))
+    got = best_response_length(t, GameConfig(cop_count=1), TreeChaseCop(t))
     assert got == want == (diameter(t) + 1) // 2
 
 
@@ -115,7 +115,7 @@ def test_two_cop_placement_avoids_virtual_vertices():
     # Both factors even diameter: the first gets a virtual leaf, but the
     # placed cops must stand on real product vertices.
     prod = cartesian_product(path_graph(3), path_graph(3))
-    strategy = two_cop_strategy(prod)
+    strategy = ProductTwoCop(prod)
     cops, _ = strategy.place(prod.flat)
     assert all(0 <= c < prod.flat.vertex_count for c in cops)
 
@@ -126,7 +126,7 @@ GRID_CASES = [(m, n) for m in range(2, 6) for n in range(m, 6)]
 @pytest.mark.parametrize("m,n", GRID_CASES)
 def test_two_cop_exact_on_grids(m, n):
     prod = cartesian_product(path_graph(m), path_graph(n))
-    strategy = two_cop_strategy(prod)
+    strategy = ProductTwoCop(prod)
     got = best_response_length(prod.flat, GameConfig(cop_count=2), strategy)
     assert got == (m + n) // 2 - 1
     assert strategy.stats["endgame_entries"] > 0
@@ -143,7 +143,7 @@ def test_two_cop_exhaustive_on_tiny_tree_pairs():
     for t1, t2 in itertools.product(small, small):
         prod = cartesian_product(t1, t2)
         want = (diameter(t1) + diameter(t2)) // 2
-        got = best_response_length(prod.flat, config, two_cop_strategy(prod))
+        got = best_response_length(prod.flat, config, ProductTwoCop(prod))
         assert got == want, f"{t1.adjacency} x {t2.adjacency}"
 
 
@@ -170,7 +170,7 @@ def test_two_cop_exact_on_lopsided_shapes():
         for t2 in shapes:
             prod = cartesian_product(t1, t2)
             want = (diameter(t1) + diameter(t2)) // 2
-            got = best_response_length(prod.flat, config, two_cop_strategy(prod))
+            got = best_response_length(prod.flat, config, ProductTwoCop(prod))
             assert got == want
 
 
@@ -181,7 +181,7 @@ def test_two_cop_exact_on_seeded_pairs():
         t2 = random_tree(2 + rng.below(5), rng.next_u64())
         prod = cartesian_product(t1, t2)
         want = (diameter(t1) + diameter(t2)) // 2
-        strategy = two_cop_strategy(prod)
+        strategy = ProductTwoCop(prod)
         got = best_response_length(prod.flat, GameConfig(cop_count=2), strategy)
         assert got == want, f"factors {t1.adjacency} x {t2.adjacency}"
         assert got == solve(prod.flat, 2).capture_time
@@ -193,8 +193,8 @@ def test_two_cop_never_beaten_by_optimal_robber():
     trace = simulate(
         prod.flat,
         GameConfig(cop_count=2),
-        two_cop_strategy(prod),
-        optimal_robber_strategy(res),
+        ProductTwoCop(prod),
+        OptimalRobber(res),
     )
     assert trace.outcome.captured
     assert trace.outcome.round <= (diameter(prod.factor1) + diameter(prod.factor2)) // 2
@@ -208,8 +208,8 @@ def test_height_potential_drops_two_per_cop_move():
         t2 = random_tree(2 + rng.below(5), rng.next_u64())
         prod = cartesian_product(t1, t2)
         g = prod.flat
-        strategy = two_cop_strategy(prod)
-        robber = optimal_robber_strategy(solve(g, 2))
+        strategy = ProductTwoCop(prod)
+        robber = OptimalRobber(solve(g, 2))
         config = GameConfig(cop_count=2)
         cops0, cmem = strategy.place(g)
         r0, rmem = robber.place(g, cops0)
@@ -232,7 +232,7 @@ def test_height_potential_drops_two_per_cop_move():
 
 def test_strategy_requires_observe_placement():
     prod = cartesian_product(path_graph(3), path_graph(4))
-    strategy = two_cop_strategy(prod)
+    strategy = ProductTwoCop(prod)
     cops, mem = strategy.place(prod.flat)
     state = GameState(cops, 0, 0, Side.COPS)
     with pytest.raises(StrategyInvariantError):
@@ -244,7 +244,7 @@ def test_two_cop_rejects_non_tree_factors():
 
     prod = cartesian_product(cycle_graph(4), path_graph(3))
     with pytest.raises(ValueError):
-        two_cop_strategy(prod)
+        ProductTwoCop(prod)
 
 
 def test_two_cop_works_cops_first_order():
@@ -252,7 +252,7 @@ def test_two_cop_works_cops_first_order():
     # only looks at positions, so cops-first cannot be worse.
     prod = cartesian_product(path_graph(4), path_graph(3))
     config = GameConfig(cop_count=2, move_order=MoveOrder.COPS_FIRST)
-    got = best_response_length(prod.flat, config, two_cop_strategy(prod))
+    got = best_response_length(prod.flat, config, ProductTwoCop(prod))
     assert not is_escape(got)
     assert got <= (3 + 2) // 2 + 1
 
@@ -275,7 +275,7 @@ _PINNED_SEARCHES = [
 @pytest.mark.parametrize("make_product, order, value, stats", _PINNED_SEARCHES)
 def test_best_response_search_is_pinned(make_product, order, value, stats):
     prod = make_product()
-    strategy = two_cop_strategy(prod)
+    strategy = ProductTwoCop(prod)
     got = best_response_length(prod.flat, GameConfig(cop_count=2, move_order=order), strategy)
     assert got == value
     assert strategy.stats == stats
@@ -283,13 +283,13 @@ def test_best_response_search_is_pinned(make_product, order, value, stats):
 
 def test_tree_chase_best_response_is_pinned():
     t = random_tree(200, 1000)
-    assert best_response_length(t, GameConfig(cop_count=1), one_cop_strategy(t)) == 23
+    assert best_response_length(t, GameConfig(cop_count=1), TreeChaseCop(t)) == 23
 
 
 @pytest.mark.parametrize("t1, t2", [(path_graph(3), path_graph(3)), (path_graph(2), path_graph(4))])
 def test_flat_rejects_pairs_on_the_virtual_leaf(t1, t2):
     # Both diameters even (first factor extended) or both odd (second).
-    strategy = two_cop_strategy(cartesian_product(t1, t2))
+    strategy = ProductTwoCop(cartesian_product(t1, t2))
     virtual = strategy.parity.virtual_vertex
     assert virtual is not None
     pair = (virtual, 0) if strategy.parity.augmented == 0 else (0, virtual)

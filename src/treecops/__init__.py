@@ -47,8 +47,6 @@ from .engine import (
     format_trace,
     is_escape,
     legal_cop_moves,
-    parse_trace,
-    replay_trace,
     simulate,
 )
 from .solver import (

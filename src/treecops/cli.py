@@ -1,7 +1,8 @@
 """Command-line entry point: solve, verify, simulate, gen.
 
 Exit codes: 0 success / all claims pass, 1 verification failure,
-2 input error, 3 resource budget exceeded.  Reports and traces are
+2 input error (a bad path included), 3 resource budget exceeded,
+4 internal error (traceback on stderr).  Reports and traces are
 byte-identical across runs for identical arguments; wall-clock timing
 goes to stderr so it cannot perturb that.
 """
@@ -18,6 +19,7 @@ from .engine import (
     GameConfig,
     IllegalMoveError,
     MoveOrder,
+    Outcome,
     ResourceBudgetError,
     format_trace,
     is_escape,
@@ -26,14 +28,14 @@ from .engine import (
 from .generators import grid_graph, path_graph, random_tree
 from .graphs import Graph, GraphError, format_graph, parse_graph
 from .products import ProductGraph, cartesian_product
-from .solver import DEFAULT_STATE_BUDGET, OptimalRobber, dump_value_table, solve
+from .solver import DEFAULT_STATE_BUDGET, dump_value_table, solve
 from .strategies import (
     StrategyMismatchError,
     make_cop_strategy,
     make_robber_strategy,
 )
 from .suites import SUITES, run_suite
-from .tree_strategies import ProductTwoCop, StrategyInvariantError
+from .tree_strategies import StrategyInvariantError
 
 BUDGET_ENV = "TREECOPS_STATE_BUDGET"
 
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 _SPEC_PATTERNS = {
     "path": re.compile(r"^path:(\d+)$"),
@@ -127,62 +130,55 @@ def cmd_verify(args) -> int:
 def _write_counterexamples(out_dir: Path, failing) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, report in enumerate(failing):
+        stem = f"failure-{i}"
         lines = [f"# instance: {report.instance}"]
-        lines.extend(report.lines())
-        (out_dir / f"failure-{i}.txt").write_text("\n".join(lines) + "\n")
         g = report.provenance.get("graph")
         if isinstance(g, Graph):
-            (out_dir / f"failure-{i}.g").write_text(format_graph(g))
+            (out_dir / f"{stem}.g").write_text(format_graph(g))
         product = report.provenance.get("product")
         if isinstance(product, ProductGraph):
+            # One game of the two-cop strategy against the optimal robber,
+            # played by the replay command itself on the factors as written.
+            replay = f"simulate --t1 {stem}.t1.g --t2 {stem}.t2.g --cops lemma2 --robber optimal"
+            lines.append(f"# replay: treecops {replay}")
+            args = build_parser().parse_args(replay.split())
+            names = (args.t1, args.t2)
+            for name, factor in zip(names, (product.factor1, product.factor2)):
+                (out_dir / name).write_text(format_graph(factor))
+            factors = [parse_graph((out_dir / name).read_text()) for name in names]
             try:
-                trace_text = _exemplar_strategy_trace(product)
+                trace_text = _play(args, *factors)[1]
             except Exception as exc:  # the strategy itself may be what failed
                 trace_text = f"# trace unavailable: {exc}\n"
-            (out_dir / f"failure-{i}.trace").write_text(trace_text)
+            (out_dir / f"{stem}.trace").write_text(trace_text)
+        lines.extend(report.lines())
+        (out_dir / f"{stem}.txt").write_text("\n".join(lines) + "\n")
 
 
-def _exemplar_strategy_trace(product: ProductGraph) -> str:
-    # One replayable game of the two-cop strategy against the optimal
-    # robber; not the full best-response tree, but enough to rerun the
-    # failing instance offline.
-    robber = OptimalRobber(solve(product.flat, 2))
-    trace = simulate(
-        product.flat, GameConfig(cop_count=2), ProductTwoCop(product), robber
-    )
-    return format_trace(
-        trace, "counterexample", lambda v: "(%d,%d)" % product.pair_of(v)
-    )
+def _play(args, t1: Graph, t2: Graph | None) -> tuple[Outcome, str]:
+    """Play a `simulate` command on t1, or on t1 x t2; return its trace text."""
+    product = cartesian_product(t1, t2) if t2 is not None else None
+    g = product.flat if product is not None else t1
+    k = args.k if args.k is not None else (2 if product is not None else 1)
+    order, budget = _order(args), _budget(args)
+    config = GameConfig(cop_count=k, move_order=order, max_rounds=args.max_rounds)
+    cop = make_cop_strategy(args.cops, g, k, product=product, order=order, seed=args.seed,
+                            state_budget=budget)
+    robber = make_robber_strategy(args.robber, g, k, order=order, seed=args.seed,
+                                  state_budget=budget)
+    trace = simulate(g, config, cop, robber)
+    label = f"{args.t1} x {args.t2}" if args.t2 else args.t1
+    renderer = str if product is None else lambda v: "(%d,%d)" % product.pair_of(v)
+    return trace.outcome, format_trace(trace, label, renderer)
 
 
 def cmd_simulate(args) -> int:
     t1 = load_graph_source(args.t1)
-    product: ProductGraph | None = None
-    if args.t2:
-        product = cartesian_product(t1, load_graph_source(args.t2))
-        g = product.flat
-    else:
-        g = t1
-    k = args.k if args.k is not None else (2 if product is not None else 1)
-    order = _order(args)
-    config = GameConfig(cop_count=k, move_order=order, max_rounds=args.max_rounds)
-    cop = make_cop_strategy(
-        args.cops, g, k, product=product, order=order, seed=args.seed,
-        state_budget=_budget(args),
-    )
-    robber = make_robber_strategy(
-        args.robber, g, k, order=order, seed=args.seed, state_budget=_budget(args),
-    )
-    trace = simulate(g, config, cop, robber)
-    label = args.t1 if not args.t2 else f"{args.t1} x {args.t2}"
-    if product is not None:
-        renderer = lambda v: "(%d,%d)" % product.pair_of(v)  # noqa: E731
-    else:
-        renderer = str
-    text = format_trace(trace, label, renderer)
+    t2 = load_graph_source(args.t2) if args.t2 else None
+    outcome, text = _play(args, t1, t2)
     if args.out:
         Path(args.out).write_text(text)
-        print(str(trace.outcome))
+        print(outcome)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -230,10 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, help=", ".join(sorted(SUITES)))
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--max", type=int, default=5, help="max grid side")
-    p.add_argument("--max-size", type=int, default=7, help="max tree size")
+    # Unset options fall back to the suite function's own defaults.
+    p.add_argument("--seed", type=int, default=None, help="corpus seed")
+    p.add_argument("--count", type=int, default=None, help="corpus size")
+    p.add_argument("--max", type=int, default=None, help="max grid side")
+    p.add_argument("--max-size", type=int, default=None, help="max tree size")
     p.add_argument("--out", default="verify-failures", help="counterexample directory")
     p.set_defaults(fn=cmd_verify)
 
@@ -275,9 +272,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (GraphError, StrategyMismatchError, IllegalMoveError,
-            StrategyInvariantError, FileNotFoundError, ValueError) as exc:
+            StrategyInvariantError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        import traceback  # only a crash needs it; kept off every start-up
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from .graphs import Graph
@@ -56,6 +56,11 @@ class MoveOrder(enum.Enum):
 class Side(enum.Enum):
     COPS = "cops"
     ROBBER = "robber"
+
+
+# The two sides in the order they move within a round.
+_HALF_MOVES = {MoveOrder.ROBBER_FIRST: (Side.ROBBER, Side.COPS),
+               MoveOrder.COPS_FIRST: (Side.COPS, Side.ROBBER)}
 
 
 class IllegalMoveError(RuntimeError):
@@ -120,7 +125,6 @@ class RoundRecord:
 
 @dataclass
 class Trace:
-    graph: Graph
     config: GameConfig
     cops_start: tuple[int, ...]
     robber_start: int
@@ -200,33 +204,23 @@ def advance_round(
         raise ValueError("advance_round before placements are complete")
     if state.captured:
         raise ValueError("advance_round on a finished game")
+    cops, robber = state.cops, state.robber
+    half_moves = _HALF_MOVES[config.move_order]
+    for side in half_moves:
+        mid = GameState(cops, robber, state.round, side)
+        if side is Side.ROBBER:
+            new_robber, robber_memory = robber_strategy.respond(g, mid, robber_memory)
+            _check_robber_move(g, robber, new_robber)
+            robber = new_robber
+        else:
+            new_cops, cop_memory = cop_strategy.respond(g, mid, cop_memory)
+            _check_cop_moves(g, cops, new_cops)
+            cops = new_cops
+        if robber in cops:
+            break
     rnd = state.round + 1
-    if config.move_order is MoveOrder.ROBBER_FIRST:
-        r_new, robber_memory = robber_strategy.respond(
-            g, replace(state, to_move=Side.ROBBER), robber_memory
-        )
-        _check_robber_move(g, state.robber, r_new)
-        if r_new in state.cops:
-            new_state = GameState(state.cops, r_new, rnd, Side.ROBBER)
-            return new_state, robber_memory, cop_memory, RoundRecord(rnd, r_new, state.cops)
-        mid = GameState(state.cops, r_new, state.round, Side.COPS)
-        c_new, cop_memory = cop_strategy.respond(g, mid, cop_memory)
-        _check_cop_moves(g, state.cops, c_new)
-        new_state = GameState(c_new, r_new, rnd, Side.ROBBER)
-        return new_state, robber_memory, cop_memory, RoundRecord(rnd, r_new, c_new)
-    else:
-        c_new, cop_memory = cop_strategy.respond(
-            g, replace(state, to_move=Side.COPS), cop_memory
-        )
-        _check_cop_moves(g, state.cops, c_new)
-        if state.robber in c_new:
-            new_state = GameState(c_new, state.robber, rnd, Side.COPS)
-            return new_state, robber_memory, cop_memory, RoundRecord(rnd, state.robber, c_new)
-        mid = GameState(c_new, state.robber, state.round, Side.ROBBER)
-        r_new, robber_memory = robber_strategy.respond(g, mid, robber_memory)
-        _check_robber_move(g, state.robber, r_new)
-        new_state = GameState(c_new, r_new, rnd, Side.COPS)
-        return new_state, robber_memory, cop_memory, RoundRecord(rnd, r_new, c_new)
+    new_state = GameState(cops, robber, rnd, half_moves[0])
+    return new_state, robber_memory, cop_memory, RoundRecord(rnd, robber, cops)
 
 
 def simulate(
@@ -246,10 +240,9 @@ def simulate(
     r0, robber_memory = robber_strategy.place(g, cops0)
     _check_vertex(g, r0, "robber")
 
-    first_side = Side.ROBBER if config.move_order is MoveOrder.ROBBER_FIRST else Side.COPS
-    state = GameState(tuple(cops0), r0, 0, first_side)
+    state = GameState(tuple(cops0), r0, 0, _HALF_MOVES[config.move_order][0])
     cop_memory = cop_strategy.observe_placement(g, state, cop_memory)
-    trace = Trace(g, config, tuple(cops0), r0)
+    trace = Trace(config, tuple(cops0), r0)
     if state.captured:
         trace.outcome = Outcome(True, 0)
         return trace
@@ -382,7 +375,7 @@ def best_response_length(
     for r0 in range(g.vertex_count):
         if r0 in cops0:
             continue  # placement value 0; never the robber's best
-        state0 = GameState(cops0, r0, 0, Side.ROBBER if robber_first else Side.COPS)
+        state0 = GameState(cops0, r0, 0, _HALF_MOVES[config.move_order][0])
         memory = cop_strategy.observe_placement(g, state0, memory0)
         value = evaluate((cops0, r0, memory))
         if value is ESCAPE:
@@ -420,88 +413,3 @@ def format_trace(
         raise ValueError("trace has no outcome")
     lines.append(str(trace.outcome))
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class RawTrace:
-    """Parsed trace text, positions kept as label strings."""
-
-    graph_label: str
-    order: MoveOrder
-    cop_count: int
-    placement: list[str]
-    rounds: list[tuple[int, list[str]]]
-    outcome_captured: bool
-    outcome_round: int
-
-
-def parse_trace(text: str) -> RawTrace:
-    graph_label = ""
-    order = MoveOrder.ROBBER_FIRST
-    cop_count = 0
-    placement: list[str] = []
-    rounds: list[tuple[int, list[str]]] = []
-    captured = False
-    final_round = -1
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#graph "):
-            graph_label = line[len("#graph "):]
-        elif line.startswith("#order "):
-            order = MoveOrder(line[len("#order "):])
-        elif line.startswith("#cops "):
-            cop_count = int(line.split()[1])
-        elif line.startswith("P "):
-            placement = line.split()[1:]
-        elif line.startswith("CAPTURED ") or line.startswith("SURVIVED "):
-            word, num = line.split()
-            captured = word == "CAPTURED"
-            final_round = int(num)
-        else:
-            parts = line.split()
-            rounds.append((int(parts[0]), parts[1:]))
-    if final_round < 0:
-        raise ValueError("trace text has no outcome line")
-    return RawTrace(graph_label, order, cop_count, placement, rounds, captured, final_round)
-
-
-# --- scripted strategies (replay) -------------------------------------------
-
-
-class ScriptedCop(CopStrategy):
-    """Replays a fixed placement and per-round cop tuples."""
-
-    def __init__(self, placement: tuple[int, ...], moves: list[tuple[int, ...]]):
-        self.placement = tuple(placement)
-        self.moves = [tuple(m) for m in moves]
-
-    def place(self, g: Graph):
-        return self.placement, 0
-
-    def respond(self, g: Graph, state: GameState, memory):
-        return self.moves[memory], memory + 1
-
-
-class ScriptedRobber(RobberStrategy):
-    def __init__(self, placement: int, moves: list[int]):
-        self.placement = placement
-        self.moves = list(moves)
-
-    def place(self, g: Graph, cops):
-        return self.placement, 0
-
-    def respond(self, g: Graph, state: GameState, memory):
-        return self.moves[memory], memory + 1
-
-
-def replay_trace(trace: Trace) -> Trace:
-    """Re-run a trace through the engine; the result must be identical."""
-    # A capturing half-move ends its round early; the scripted player on
-    # the other side simply never gets asked for the phantom move.
-    robber_moves = [rec.robber for rec in trace.rounds]
-    cop_moves = [rec.cops for rec in trace.rounds]
-    cop = ScriptedCop(trace.cops_start, cop_moves)
-    robber = ScriptedRobber(trace.robber_start, robber_moves)
-    return simulate(trace.graph, trace.config, cop, robber)

@@ -87,7 +87,7 @@ def tree_pair_corpus(
     return corpus
 
 
-def suite_thm1(max_size: int = 7, count: int = 100, seed: int = 11) -> SuiteResult:
+def suite_thm1(max_size: int = 7, count: int = 50, seed: int = 42) -> SuiteResult:
     """capt1 of every labeled tree up to max_size equals ceil(diam/2);
     the one-cop chase achieves the same value on a seeded sample."""
     result = SuiteResult("thm1")
@@ -198,7 +198,7 @@ def suite_constructive(seed: int = 42, count: int = 50, max_size: int = 7,
     return result
 
 
-def suite_move_order(seed: int = 1, count: int = 20) -> SuiteResult:
+def suite_move_order(seed: int = 42, count: int = 50) -> SuiteResult:
     """Robber-first and cops-first capture times agree on a mixed corpus."""
     result = SuiteResult("move-order")
     rng = SplitMix64(seed)
@@ -275,7 +275,8 @@ def run_suite(name: str, **options) -> SuiteResult:
     """Run ``SUITES[name]`` with the options its signature names.
 
     The options are ``seed``, ``count``, ``max_size`` and ``max_mn``;
-    those the suite does not take are ignored, and each one it takes is
+    those the suite does not take, or that are None, are ignored, so the
+    suite's own defaults hold for anything unset; each one it takes is
     checked before any work runs (a ValueError names the flag).  The
     entry is looked up per call and its signature read through any
     ``__wrapped__``, so a wrapper bound into ``SUITES`` still gets the
@@ -283,7 +284,8 @@ def run_suite(name: str, **options) -> SuiteResult:
     """
     suite = SUITES[name]
     params = inspect.signature(suite).parameters
-    kwargs = {key: value for key, value in options.items() if key in params}
+    kwargs = {key: value for key, value in options.items()
+              if key in params and value is not None}
     for key, (flag, least) in _OPTION_FLOORS.items():
         if key in kwargs and kwargs[key] < least:
             raise ValueError(f"{flag} must be at least {least}, got {kwargs[key]}")

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,18 +15,23 @@ from treecops.cli import (
     BUDGET_ENV,
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
     load_graph_source,
     main,
 )
-from treecops import parse_graph, parse_trace
+from treecops import parse_graph
 
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# A two-cop placement on a product, rendered as (i,j) pairs.
+PRODUCT_PLACEMENT = re.compile(r"^P \(\d+,\d+\) \(\d+,\d+\) \(\d+,\d+\)$")
 
 
 def test_gen_grid(tmp_path, capsys):
@@ -119,6 +127,31 @@ def test_budget_env_override(capsys, monkeypatch):
     assert rc == EXIT_OK
 
 
+def test_gen_out_is_a_directory_is_input_error(capsys, tmp_path):
+    rc, _, err = run_cli(capsys, "gen", "--kind", "path", "--n", "3", "--out", str(tmp_path))
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_solve_graph_is_a_directory_is_input_error(capsys, tmp_path):
+    rc, _, err = run_cli(capsys, "solve", "--graph", str(tmp_path), "--cops", "1")
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
+    import treecops.cli as cli
+
+    def crashing(*args, **kwargs):
+        raise RuntimeError("synthetic crash")
+
+    monkeypatch.setattr(cli, "solve", crashing)
+    rc, out, err = run_cli(capsys, "solve", "--graph", "path:3", "--cops", "1")
+    assert rc == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: synthetic crash" in err
+
+
 def test_solve_missing_graph(capsys):
     rc, _, err = run_cli(capsys, "solve", "--graph", "missing.g", "--cops", "1")
     assert rc == EXIT_INPUT
@@ -136,10 +169,34 @@ def test_simulate_lemma2_vs_optimal(tmp_path, capsys):
     assert stdout.strip().startswith("CAPTURED")
     round_taken = int(stdout.split()[1])
     assert round_taken <= 2
-    raw = parse_trace(out.read_text())
-    assert raw.cop_count == 2
-    assert raw.outcome_captured
-    assert raw.placement[0].startswith("(")  # product rendering
+    lines = out.read_text().splitlines()
+    assert "#cops 2" in lines
+    assert any(PRODUCT_PLACEMENT.match(line) for line in lines)
+    assert lines[-1].startswith("CAPTURED")
+
+
+@pytest.mark.parametrize("order", ["robber-first", "cops-first"])
+@pytest.mark.parametrize("argv, prefixes", [
+    (("--t1", "grid:4x4", "--cops", "optimal", "--robber", "optimal", "--k", "2"),
+     {"robber-first": "5471bd869954e1fc", "cops-first": "ab35af26603d600c"}),
+    (("--t1", "path:4", "--t2", "path:3", "--cops", "lemma2", "--robber", "optimal"),
+     {"robber-first": "30d784c92781a747", "cops-first": "a1b115f4252ba9c4"}),
+    (("--t1", "tree:9:3", "--cops", "random", "--robber", "random", "--seed", "5"),
+     {"robber-first": "b206208896a32dc8", "cops-first": "e04dcd6da89f6d82"}),
+    (("--t1", "tree:9:3", "--cops", "random", "--robber", "optimal", "--seed", "5"),
+     {"robber-first": "beb0069e9baade57", "cops-first": "88e55caa03eb9f7a"}),
+    (("--t1", "path:5", "--cops", "stationary", "--robber", "stationary",
+      "--max-rounds", "3"),
+     {"robber-first": "f9591c8b9815ccdc", "cops-first": "1b3119ac35f193a2"}),
+], ids=["grid-optimal", "product-lemma2", "tree-random", "tree-random-cop", "survived"])
+def test_simulate_stdout_is_pinned(capsys, argv, prefixes, order):
+    # Digests of the stdout written while advance_round still kept one
+    # branch per move order.
+    rc, out, _ = run_cli(capsys, "simulate", *argv, "--order", order)
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefixes[order]
+    if "--max-rounds" in argv:
+        assert out.endswith("SURVIVED 3\n")
 
 
 def test_simulate_thm1(capsys):
@@ -246,8 +303,23 @@ def test_verify_constructive_failure_writes_trace(capsys, tmp_path, monkeypatch)
     failure_dir = tmp_path / "fails" / "constructive"
     traces = sorted(p.name for p in failure_dir.glob("*.trace"))
     assert traces, "expected a replayable trace next to the failing report"
-    raw = parse_trace((failure_dir / traces[0]).read_text())
-    assert raw.cop_count == 2 and raw.outcome_captured
+    written = (failure_dir / "failure-0.trace").read_text()
+    lines = written.splitlines()
+    assert lines[0] == "#graph failure-0.t1.g x failure-0.t2.g"
+    assert "#cops 2" in lines
+    assert any(PRODUCT_PLACEMENT.match(line) for line in lines)
+    assert lines[-1].startswith("CAPTURED")
+    # The replay command recorded next to the claims reprints the trace.
+    report = (failure_dir / "failure-0.txt").read_text().splitlines()
+    replay = [line for line in report if line.startswith("# replay: ")]
+    assert replay == ["# replay: treecops simulate --t1 failure-0.t1.g --t2 failure-0.t2.g"
+                      " --cops lemma2 --robber optimal"]
+    argv = shlex.split(replay[0][len("# replay: "):])
+    assert argv[0] == "treecops"
+    monkeypatch.chdir(failure_dir)
+    rc, out, _ = run_cli(capsys, *argv[1:])
+    assert rc == EXIT_OK
+    assert out == written
 
 
 def test_verify_invariant_violation_exits_one(capsys, monkeypatch):
@@ -396,3 +468,21 @@ def test_verify_maps_each_option_to_its_parameter(capsys, monkeypatch):
                        "--count", "3", "--max-size", "4", "--max", "2")
     assert rc == EXIT_VERIFY_FAIL  # the stand-in checks nothing
     assert seen == {"seed": 5, "count": 3, "max_size": 4, "max_mn": 2}
+
+
+@pytest.mark.parametrize("suite", sorted(treecops.suites.SUITES))
+def test_verify_without_options_leaves_the_suite_defaults(capsys, monkeypatch, suite):
+    import treecops.suites as suites
+
+    calls = []
+    real = suites.SUITES[suite]
+
+    @functools.wraps(real)
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return suites.SuiteResult(suite)
+
+    monkeypatch.setitem(suites.SUITES, suite, recording)
+    rc, _, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert rc == EXIT_VERIFY_FAIL  # the stand-in checks nothing
+    assert calls == [((), {})]

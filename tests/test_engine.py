@@ -16,9 +16,7 @@ from treecops import (
     legal_cop_moves,
     TreeChaseCop,
     OptimalRobber,
-    parse_trace,
     path_graph,
-    replay_trace,
     simulate,
     solve,
     star_graph,
@@ -90,7 +88,7 @@ def test_advance_round_robber_walks_into_cop():
     new, _, _, record = advance_round(
         g, config, state, Suicide(), None, StationaryCop((0,)), None
     )
-    assert new.captured and new.round == 1
+    assert new.captured and new.round == 1 and new.to_move is Side.ROBBER
     assert record.cops == (0,)  # cops never moved this round
 
 
@@ -101,7 +99,7 @@ def test_advance_round_no_capture_increments_round():
     new, _, _, _ = advance_round(
         g, config, state, StationaryRobber(), None, StationaryCop((0,)), None
     )
-    assert not new.captured and new.round == 1
+    assert not new.captured and new.round == 1 and new.to_move is Side.ROBBER
 
 
 def test_advance_round_cops_first_captures_without_robber_move():
@@ -119,7 +117,42 @@ def test_advance_round_cops_first_captures_without_robber_move():
     new, _, _, record = advance_round(
         g, config, state, NeverAsked(), None, GreedyCop(), None
     )
-    assert new.captured and record.robber == 1
+    assert new.captured and record.robber == 1 and new.to_move is Side.COPS
+
+
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_advance_round_hands_each_side_its_half_move(order):
+    # Path 0-1-2-3-4: the cop steps 0 -> 1, the robber 4 -> 3; no capture.
+    seen = []
+
+    class Stepper(CopStrategy):
+        def place(self, g):
+            return (0,), None
+
+        def respond(self, g, state, memory):
+            seen.append(state)
+            return (state.cops[0] + 1,), memory
+
+    class Retreat(RobberStrategy):
+        def place(self, g, cops):
+            return 4, None
+
+        def respond(self, g, state, memory):
+            seen.append(state)
+            return state.robber - 1, memory
+
+    first = Side.ROBBER if order is MoveOrder.ROBBER_FIRST else Side.COPS
+    state = GameState((0,), 4, 0, first)
+    new, _, _, record = advance_round(
+        path_graph(5), GameConfig(cop_count=1, move_order=order), state,
+        Retreat(), None, Stepper(), None,
+    )
+    if order is MoveOrder.ROBBER_FIRST:
+        assert seen == [GameState((0,), 4, 0, Side.ROBBER), GameState((0,), 3, 0, Side.COPS)]
+    else:
+        assert seen == [GameState((0,), 4, 0, Side.COPS), GameState((1,), 4, 0, Side.ROBBER)]
+    assert new == GameState((1,), 3, 1, first)
+    assert (record.index, record.robber, record.cops) == (1, 3, (1,))
 
 
 def test_simulate_greedy_catches_stationary_on_path2():
@@ -185,19 +218,6 @@ def test_trace_moves_are_single_steps():
         assert rec.robber not in rec.cops
 
 
-@pytest.mark.parametrize("order", list(MoveOrder))
-def test_replay_reproduces_trace(order):
-    prod = cartesian_product(path_graph(4), path_graph(3))
-    robber = OptimalRobber(solve(prod.flat, 2, order))
-    config = GameConfig(cop_count=2, move_order=order)
-    trace = simulate(prod.flat, config, ProductTwoCop(prod), robber)
-    replayed = replay_trace(trace)
-    assert replayed.cops_start == trace.cops_start
-    assert replayed.robber_start == trace.robber_start
-    assert replayed.rounds == trace.rounds
-    assert replayed.outcome == trace.outcome
-
-
 def test_trace_format_and_parse():
     trace = simulate(path_graph(2), GameConfig(cop_count=1), GreedyCop(), StationaryRobber())
     text = format_trace(trace, "p2.g")
@@ -207,10 +227,6 @@ def test_trace_format_and_parse():
     assert lines[2] == "#cops 1"
     assert lines[3] == "P 1 0"
     assert lines[-1] == "CAPTURED 1"
-    raw = parse_trace(text)
-    assert raw.cop_count == 1
-    assert raw.outcome_captured and raw.outcome_round == 1
-    assert raw.placement == ["1", "0"]
 
 
 def test_best_response_one_cop_on_path5():

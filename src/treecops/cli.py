@@ -135,6 +135,10 @@ def _write_counterexamples(out_dir: Path, failing) -> None:
         g = report.provenance.get("graph")
         if isinstance(g, Graph):
             (out_dir / f"{stem}.g").write_text(format_graph(g))
+            # A report that checks solved values names the solves to re-run.
+            for order in report.provenance.get("orders", ()):
+                lines.append(f"# replay: treecops solve --graph {stem}.g"
+                             f" --cops {report.provenance['cops']} --order {order.value}")
         product = report.provenance.get("product")
         if isinstance(product, ProductGraph):
             # One game of the two-cop strategy against the optimal robber,

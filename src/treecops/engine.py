@@ -18,7 +18,7 @@ import enum
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Callable, Hashable, NamedTuple
 
 from .graphs import Graph
 
@@ -93,8 +93,11 @@ class GameConfig:
         return 4 * g.vertex_count * g.vertex_count
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
+    """Positions, round and side to move; a named tuple, so the
+    best-response search can build one per cop reply without a
+    Python-level constructor."""
+
     cops: tuple[int, ...]
     robber: int | None
     round: int
@@ -291,9 +294,13 @@ def best_response_length(
     # Looked up once per search rather than once per cop reply.
     respond = cop_strategy.respond
     cops_to_move = Side.COPS
+    new_tuple = tuple.__new__
 
     def cop_reply(cops: tuple[int, ...], robber: int, memory) -> tuple[tuple[int, ...], Hashable]:
-        new_cops, new_memory = respond(g, GameState(cops, robber, 1, cops_to_move), memory)
+        # tuple.__new__ fills the named tuple's fields in C; GameState(...)
+        # would run its generated __new__ as a Python frame.
+        state = new_tuple(GameState, (cops, robber, 1, cops_to_move))
+        new_cops, new_memory = respond(g, state, memory)
         _check_cop_moves(g, cops, new_cops)
         return tuple(new_cops), new_memory
 

@@ -64,12 +64,20 @@ class StationaryRobber(RobberStrategy):
         return state.robber, memory
 
 
+# XORed into the seed to give the robber its own stream: with the cops'
+# stream its first draw would equal cop 0's, placing it on that cop.
+_ROBBER_STREAM = 0xD1B54A32D192ED03
+
+
 class RandomRobber(RobberStrategy):
+    """Seeded uniform placement and uniform moves, drawn from a stream
+    apart from a RandomCop's of the same seed."""
+
     def __init__(self, seed: int):
         self.seed = seed
 
     def place(self, g: Graph, cops):
-        value, state = splitmix64_next(self.seed)
+        value, state = splitmix64_next(self.seed ^ _ROBBER_STREAM)
         return value % g.vertex_count, state
 
     def respond(self, g: Graph, state: GameState, memory):

@@ -19,7 +19,7 @@ from .bounds import (
     make_claim,
     n_tree_upper_bound,
 )
-from .engine import GameConfig, best_response_length, is_escape
+from .engine import GameConfig, MoveOrder, best_response_length, is_escape
 from .generators import (
     SplitMix64,
     all_labeled_trees,
@@ -117,6 +117,16 @@ def _pair_products(seed: int, count: int, max_size: int) -> list[tuple[ProductGr
     return [(cartesian_product(t1, t2), desc) for t1, t2, desc in corpus]
 
 
+_BOTH_ORDERS = (MoveOrder.ROBBER_FIRST, MoveOrder.COPS_FIRST)
+
+
+def _record_solve(report: BoundReport, g: Graph, cops: int,
+                  orders=(MoveOrder.ROBBER_FIRST,)) -> None:
+    """Keep what a counterexample needs to re-run the solves the report
+    checks: the graph, the cop count and the move orders."""
+    report.provenance.update(graph=g, cops=cops, orders=orders)
+
+
 def _solve_each(name: str, instances, check) -> SuiteResult:
     """Solve each (subject, desc) instance at two cops, check the subject
     against the solve, and tag the report; a product is solved flat."""
@@ -125,7 +135,7 @@ def _solve_each(name: str, instances, check) -> SuiteResult:
         g = subject.flat if isinstance(subject, ProductGraph) else subject
         report = check(subject, solve(g, 2))
         report.instance = f"{desc} {report.instance}"
-        report.provenance["graph"] = g
+        _record_solve(report, g, 2)
         result.reports.append(report)
     return result
 
@@ -150,7 +160,7 @@ def suite_corollary_grid(max_mn: int = 5) -> SuiteResult:
             report.claims.append(
                 make_claim("grid-cops-first", -1 if is_escape(cf) else cf, "==", want)
             )
-            report.provenance["graph"] = grid_graph(m, n)
+            _record_solve(report, grid_graph(m, n), 2, _BOTH_ORDERS)
             result.reports.append(report)
     return result
 
@@ -224,7 +234,7 @@ def suite_move_order(seed: int = 42, count: int = 50) -> SuiteResult:
         lhs = -1 if is_escape(rf) else rf
         rhs = -1 if is_escape(cf) else cf
         report.claims.append(make_claim("move-order-agreement", lhs, "==", rhs))
-        report.provenance["graph"] = g
+        _record_solve(report, g, k, _BOTH_ORDERS)
         result.reports.append(report)
     return result
 
@@ -244,7 +254,7 @@ def suite_three_trees() -> SuiteResult:
         ).flat
         solved = solve(flat, 2)
         report = check_multi_tree_bounds(trees, solved)
-        report.provenance["graph"] = flat
+        _record_solve(report, flat, 2)
         result.reports.append(report)
     report = BoundReport(instance="n-tree-formula[4 single edges]")
     report.claims.append(

@@ -182,7 +182,7 @@ def test_simulate_lemma2_vs_optimal(tmp_path, capsys):
     (("--t1", "path:4", "--t2", "path:3", "--cops", "lemma2", "--robber", "optimal"),
      {"robber-first": "30d784c92781a747", "cops-first": "a1b115f4252ba9c4"}),
     (("--t1", "tree:9:3", "--cops", "random", "--robber", "random", "--seed", "5"),
-     {"robber-first": "b206208896a32dc8", "cops-first": "e04dcd6da89f6d82"}),
+     {"robber-first": "3d1811709bccd32b", "cops-first": "547c103b10766f70"}),
     (("--t1", "tree:9:3", "--cops", "random", "--robber", "optimal", "--seed", "5"),
      {"robber-first": "beb0069e9baade57", "cops-first": "88e55caa03eb9f7a"}),
     (("--t1", "path:5", "--cops", "stationary", "--robber", "stationary",
@@ -191,12 +191,23 @@ def test_simulate_lemma2_vs_optimal(tmp_path, capsys):
 ], ids=["grid-optimal", "product-lemma2", "tree-random", "tree-random-cop", "survived"])
 def test_simulate_stdout_is_pinned(capsys, argv, prefixes, order):
     # Digests of the stdout written while advance_round still kept one
-    # branch per move order.
+    # branch per move order; tree-random's since the random robber draws
+    # from a stream of its own.
     rc, out, _ = run_cli(capsys, "simulate", *argv, "--order", order)
     assert rc == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefixes[order]
     if "--max-rounds" in argv:
         assert out.endswith("SURVIVED 3\n")
+
+
+def test_random_cops_and_random_robber_do_not_all_meet_at_placement(capsys):
+    endings = set()
+    for seed in range(1, 8):
+        rc, out, _ = run_cli(capsys, "simulate", "--t1", "tree:9:3", "--cops", "random",
+                             "--robber", "random", "--seed", str(seed))
+        assert rc == EXIT_OK
+        endings.add(out.splitlines()[-1])
+    assert endings != {"CAPTURED 0"}
 
 
 def test_simulate_thm1(capsys):
@@ -423,6 +434,43 @@ def test_verify_escape_is_a_failure_with_counterexample(capsys, tmp_path, monkey
     failure_dir = tmp_path / "f" / argv[1]
     assert (failure_dir / "failure-0.txt").is_file()
     parse_graph((failure_dir / "failure-0.g").read_text())
+    assert_solve_replays(capsys, monkeypatch, failure_dir, ["robber-first"])
+
+
+@pytest.mark.parametrize("argv, claim", [
+    (("--suite", "corollary-grid", "--max", "2"), "grid-robber-first -1 == 1"),
+    (("--suite", "move-order", "--count", "2"), "move-order-agreement -1 == 1"),
+])
+def test_verify_escape_in_one_order_replays_both(capsys, tmp_path, monkeypatch, argv, claim):
+    # Suites that compare the two move orders name a solve for each.
+    import treecops.suites as suites
+
+    original = suites.capture_time_both_orders
+
+    def escaping_robber_first(g, k):
+        return treecops.ESCAPE, original(g, k)[1]
+
+    monkeypatch.setattr(suites, "capture_time_both_orders", escaping_robber_first)
+    rc, out, err = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "f"))
+    assert rc == EXIT_VERIFY_FAIL
+    assert f"CLAIM {claim} FAIL" in out
+    failure_dir = tmp_path / "f" / argv[1]
+    assert_solve_replays(capsys, monkeypatch, failure_dir, ["robber-first", "cops-first"])
+
+
+def assert_solve_replays(capsys, monkeypatch, failure_dir, orders):
+    """failure-0.txt names one `treecops solve` per move order, and each
+    one, run inside the directory, exits 0."""
+    report = (failure_dir / "failure-0.txt").read_text().splitlines()
+    replay = [line[len("# replay: "):] for line in report if line.startswith("# replay: ")]
+    assert [shlex.split(line)[-1] for line in replay] == orders
+    monkeypatch.chdir(failure_dir)
+    for line in replay:
+        argv = shlex.split(line)
+        assert argv[:4] == ["treecops", "solve", "--graph", "failure-0.g"]
+        rc, out, _ = run_cli(capsys, *argv[1:])
+        assert rc == EXIT_OK
+        assert out.startswith("capt=")
 
 
 @pytest.mark.parametrize("suite", ["theorem2", "sandwich", "lemma3", "thm1", "constructive"])

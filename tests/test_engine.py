@@ -23,8 +23,9 @@ from treecops import (
     ProductTwoCop,
     cartesian_product,
 )
+import treecops.strategies as strategies
 from treecops.engine import CopStrategy, RobberStrategy
-from treecops.strategies import RandomRobber, StationaryCop, StationaryRobber
+from treecops.strategies import RandomCop, RandomRobber, StationaryCop, StationaryRobber
 
 
 class GreedyCop(CopStrategy):
@@ -49,6 +50,26 @@ class BrokenCop(CopStrategy):
 
     def respond(self, g, state, memory):
         return (g.vertex_count + 5,), memory
+
+
+class JumpingCop(CopStrategy):
+    """Test helper: steps to a vertex two edges away on a path."""
+
+    def place(self, g):
+        return (0,), None
+
+    def respond(self, g, state, memory):
+        return (state.cops[0] + 2,), memory
+
+
+class ExtraCop(CopStrategy):
+    """Test helper: places one cop, then answers with two."""
+
+    def place(self, g):
+        return (0,), None
+
+    def respond(self, g, state, memory):
+        return state.cops * 2, memory
 
 
 class CountingCop(CopStrategy):
@@ -188,6 +209,49 @@ def test_simulate_two_cop_strategy_vs_optimal_robber_on_grid():
 def test_illegal_cop_move_reported():
     with pytest.raises(IllegalMoveError, match="cop 0"):
         simulate(path_graph(3), GameConfig(cop_count=1), BrokenCop(), StationaryRobber())
+
+
+@pytest.mark.parametrize("cop, message", [
+    (JumpingCop(), "cop 0 moved 0 -> 2"),
+    (ExtraCop(), "cops returned 2 positions for 1 cops"),
+    (BrokenCop(), "cop 0 chose invalid vertex"),
+], ids=["jump", "count", "invalid"])
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_best_response_checks_every_cop_reply(cop, message, order):
+    with pytest.raises(IllegalMoveError, match=message):
+        best_response_length(path_graph(5), GameConfig(cop_count=1, move_order=order), cop)
+
+
+def test_game_state_is_a_positional_immutable_record():
+    state = GameState((0, 2), 3, 1, Side.COPS)
+    assert (state.cops, state.robber, state.round, state.to_move) == ((0, 2), 3, 1, Side.COPS)
+    assert state == GameState((0, 2), 3, 1, Side.COPS)
+    assert hash(state) == hash(GameState((0, 2), 3, 1, Side.COPS))
+    assert state != GameState((0, 2), 3, 2, Side.COPS)
+    with pytest.raises(AttributeError):
+        state.robber = 0
+    assert not state.captured
+    assert GameState((0, 2), 2, 1, Side.COPS).captured
+    assert not GameState((0, 2), None, 0, Side.ROBBER).captured
+
+
+def test_random_robber_and_random_cop_draw_from_different_streams(monkeypatch):
+    draws = []
+    real = strategies.splitmix64_next
+
+    def recording(state):
+        out = real(state)
+        draws.append(out[0])
+        return out
+
+    monkeypatch.setattr(strategies, "splitmix64_next", recording)
+    g = path_graph(5)
+    for seed in range(100):
+        draws.clear()
+        RandomCop(1, seed).place(g)
+        RandomRobber(seed).place(g, (0,))
+        cop_first, robber_first = draws
+        assert cop_first != robber_first, seed
 
 
 def test_max_rounds_cutoff_survives():

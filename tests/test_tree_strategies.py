@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecops import (
     GameConfig,
@@ -269,6 +270,20 @@ _PINNED_SEARCHES = [
      5, {"endgame_entries": 236, "invariant_checks": 536, "responses": 582}),
     (lambda: cartesian_product(path_graph(6), path_graph(7)), MoveOrder.COPS_FIRST,
      5, {"endgame_entries": 108, "invariant_checks": 276, "responses": 342}),
+    # Seeded pairs of each parity: both diameters odd (5, 5), both even
+    # (8, 6), and even and odd (10, 9).
+    (lambda: cartesian_product(random_tree(9, 11), random_tree(7, 12)), MoveOrder.ROBBER_FIRST,
+     5, {"endgame_entries": 386, "invariant_checks": 849, "responses": 873}),
+    (lambda: cartesian_product(random_tree(9, 11), random_tree(7, 12)), MoveOrder.COPS_FIRST,
+     5, {"endgame_entries": 148, "invariant_checks": 389, "responses": 481}),
+    (lambda: cartesian_product(random_tree(17, 5), random_tree(13, 6)), MoveOrder.ROBBER_FIRST,
+     7, {"endgame_entries": 1659, "invariant_checks": 4305, "responses": 4512}),
+    (lambda: cartesian_product(random_tree(17, 5), random_tree(13, 6)), MoveOrder.COPS_FIRST,
+     7, {"endgame_entries": 876, "invariant_checks": 2643, "responses": 3006}),
+    (lambda: cartesian_product(random_tree(16, 51), random_tree(15, 52)), MoveOrder.ROBBER_FIRST,
+     9, {"endgame_entries": 1887, "invariant_checks": 6261, "responses": 6795}),
+    (lambda: cartesian_product(random_tree(16, 51), random_tree(15, 52)), MoveOrder.COPS_FIRST,
+     9, {"endgame_entries": 1243, "invariant_checks": 4729, "responses": 5251}),
 ]
 
 
@@ -279,6 +294,23 @@ def test_best_response_search_is_pinned(make_product, order, value, stats):
     got = best_response_length(prod.flat, GameConfig(cop_count=2, move_order=order), strategy)
     assert got == value
     assert strategy.stats == stats
+
+
+small_trees = st.builds(
+    random_tree,
+    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=0, max_value=2**32),
+)
+
+
+@given(small_trees, small_trees)
+@settings(max_examples=30, deadline=None)
+def test_best_response_against_two_cops_is_half_the_product_diameter(t1, t2):
+    # Mehrabian's theorem, constructively: the best robber survives the
+    # two-cop strategy for exactly floor((d1 + d2) / 2) rounds.
+    prod = cartesian_product(t1, t2)
+    got = best_response_length(prod.flat, GameConfig(cop_count=2), ProductTwoCop(prod))
+    assert got == (diameter(t1) + diameter(t2)) // 2
 
 
 def test_tree_chase_best_response_is_pinned():

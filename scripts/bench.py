@@ -15,7 +15,7 @@ are measured, in alternating order from run to run, and each metric
 records how many runs of the change beat the parent run paired with it.
 Each checkout runs its own ``bench/run.py`` on its own sources.
 
-Usage: python3 scripts/bench.py --out BENCH_<pr>.json [--seed N]
+Usage: python3 scripts/bench.py --out BENCH_<n>.json [--seed N]
            [--runs N] [--parent DIR] [--size full|smoke]
 """
 import argparse

@@ -15,8 +15,8 @@ are measured, in alternating order from run to run, and each metric
 records how many runs of the change beat the parent run paired with it.
 Each checkout runs its own ``bench/run.py`` on its own sources.
 
-Usage: python3 scripts/bench.py --out BENCH_<n>.json [--seed N]
-           [--runs N] [--parent DIR] [--size full|smoke]
+Usage: python3 scripts/bench.py --out BENCH_<n>.json [--runs N]
+           [--parent DIR] [--size full|smoke]
 """
 import argparse
 import json
@@ -30,11 +30,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD_FIELD = re.compile(r"(\w+)=([-+.\w]+)")
 # A smoke run checks that the recorder works, not how fast anything is.
 SMOKE_SECONDS = 1
+# One seed for every record, so the BENCH_<n>.json files compare.
+SEED = 7
 
 
 def bench_run(checkout: Path, workload: str, args, trace: bool) -> dict:
     """One bench/run.py invocation: its env line, child lines and result."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(args.seed),
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(args.seconds), "--trace", str(int(trace)), "--size", args.size]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -77,7 +79,6 @@ def summarise(runs: list, traced: dict, end_to_end: list) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--runs", type=int, default=1, help="untraced runs per checkout")
     parser.add_argument("--parent", type=Path, default=None,
                         help="a checkout of the parent commit, measured alternately")
@@ -111,7 +112,7 @@ def main() -> int:
                                for c, p in zip(entry["change"]["runs"], entry["parent"]["runs"]))
                 for m in definition["end_to_end"]}
         workloads[workload] = entry
-    record = {"env": next(iter(workloads.values()))["change"]["env"], "seed": args.seed,
+    record = {"env": next(iter(workloads.values()))["change"]["env"], "seed": SEED,
               "seconds": args.seconds, "size": args.size, "runs": args.runs,
               "workloads": workloads}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -297,9 +297,7 @@ class ProductTwoCop(CopStrategy):
                 pairs, c1_slot, root1, u1, v1, u2, dU, dV, d2, r_now
             )
         else:
-            # Endgame entry cached this rooting; the fallback serves a memory
-            # that another instance made.
-            rt1 = self._rooted1_cache.get(root1) or self._rooted1(root1)
+            rt1 = self._rooted1(root1)
             new_pairs = self._endgame_move(c1_slot, u1, v1, u2, r_start, r_now, rt1)
             if r_now not in new_pairs:
                 nu1 = new_pairs[c1_slot][0]
@@ -307,12 +305,7 @@ class ProductTwoCop(CopStrategy):
                 nu2 = new_pairs[0][1]
                 self._assert_invariants(nu1, nv1, nu2, r_now, rt1, "after endgame move")
 
-        flat_of = self._flat_of
-        try:
-            new_cops = (flat_of[new_pairs[0]], flat_of[new_pairs[1]])
-        except KeyError:
-            # Only a pair on the virtual leaf is missing; _flat names it.
-            new_cops = (self._flat(new_pairs[0]), self._flat(new_pairs[1]))
+        new_cops = (self._flat(new_pairs[0]), self._flat(new_pairs[1]))
         # tuple.__new__ fills the named tuple in C, with no Python frame.
         return new_cops, _new_tuple(TwoPhaseMemory, (phase, state.robber, c1_slot, root1))
 
@@ -437,15 +430,11 @@ class ProductTwoCop(CopStrategy):
         rt2 = self._rooted2
         r1, r2 = r
         problems = []
-        # RootedTree.is_descendant, written out: w lies below a exactly
-        # when entry[a] <= entry[w] < exit[a].
-        entry1, exit1 = rt1.entry, rt1.exit
-        e1 = entry1[r1]
-        if not entry1[u1] <= e1 < exit1[u1]:
+        if not rt1.is_descendant(u1, r1):
             problems.append(f"r1={r1} not a descendant of u1={u1}")
-        if not entry1[v1] <= e1 < exit1[v1]:
+        if not rt1.is_descendant(v1, r1):
             problems.append(f"r1={r1} not a descendant of v1={v1}")
-        if not rt2.entry[u2] <= rt2.entry[r2] < rt2.exit[u2]:
+        if not rt2.is_descendant(u2, r2):
             problems.append(f"r2={r2} not a descendant of u2={u2}")
         dU = self._dist1[u1][r1]
         dV = self._dist1[v1][r1]

@@ -332,6 +332,30 @@ def test_flat_rejects_pairs_on_the_virtual_leaf(t1, t2):
         assert strategy._flat(strategy._internal(flat)) == flat
 
 
+@pytest.mark.parametrize(
+    "t1, t2, robber", [(path_graph(3), path_graph(3), 7), (path_graph(2), path_graph(4), 3)]
+)
+def test_respond_rejects_a_move_onto_the_virtual_leaf(t1, t2, robber, monkeypatch):
+    # The robber starts where the cops stay in the equalize phase; a move
+    # that lands a cop on the virtual leaf raises the strategy's own error.
+    strategy = ProductTwoCop(cartesian_product(t1, t2))
+    g = strategy.product.flat
+    virtual = strategy.parity.virtual_vertex
+    bad = (virtual, 0) if strategy.parity.augmented == 0 else (0, virtual)
+    cops, memory = strategy.place(g)
+    memory = strategy.observe_placement(g, GameState(cops, robber, 0, Side.ROBBER), memory)
+    calls = []
+
+    def equalize_onto_virtual(pairs, c1_slot, root1, *rest):
+        calls.append(pairs)
+        return [bad, pairs[1]], c1_slot, root1
+
+    monkeypatch.setattr(strategy, "_equalize_move", equalize_onto_virtual)
+    with pytest.raises(StrategyInvariantError, match="virtual vertex"):
+        strategy.respond(g, GameState(cops, robber, 1, Side.COPS), memory)
+    assert len(calls) == 1
+
+
 def test_two_phase_memory_compares_by_fields():
     a = TwoPhaseMemory("endgame", 7, 1, 3)
     b = TwoPhaseMemory("endgame", 7, 1, 3)

@@ -4,6 +4,7 @@ and machine-checked bounds on graphs and Cartesian products of trees."""
 from .graphs import (
     Graph,
     GraphError,
+    InputError,
     bfs_distances,
     build_graph,
     diameter,

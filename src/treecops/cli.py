@@ -26,14 +26,10 @@ from .engine import (
     simulate,
 )
 from .generators import grid_graph, path_graph, random_tree
-from .graphs import Graph, GraphError, format_graph, parse_graph
+from .graphs import Graph, GraphError, InputError, format_graph, parse_graph
 from .products import ProductGraph, cartesian_product
 from .solver import DEFAULT_STATE_BUDGET, dump_value_table, solve
-from .strategies import (
-    StrategyMismatchError,
-    make_cop_strategy,
-    make_robber_strategy,
-)
+from .strategies import make_cop_strategy, make_robber_strategy
 from .suites import SUITES, run_suite
 from .tree_strategies import StrategyInvariantError
 
@@ -74,7 +70,10 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_STATE_BUDGET
 
 
@@ -275,8 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphError, StrategyMismatchError, IllegalMoveError,
-            StrategyInvariantError, OSError, ValueError) as exc:
+    except (InputError, IllegalMoveError, StrategyInvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

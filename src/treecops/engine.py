@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple
 
-from .graphs import Graph
+from .graphs import Graph, InputError
 
 
 class EscapeType:
@@ -83,9 +83,9 @@ class GameConfig:
 
     def __post_init__(self):
         if self.cop_count < 1:
-            raise ValueError("cop_count must be >= 1")
+            raise InputError("cop_count must be >= 1")
         if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+            raise InputError("max_rounds must be >= 1")
 
     def effective_max_rounds(self, g: Graph) -> int:
         if self.max_rounds is not None:

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-class GraphError(ValueError):
+class InputError(ValueError):
+    """A value supplied from outside the package was rejected.
+
+    The command line maps it, and only it among ``ValueError``s, to the
+    input-error exit code; a bare ``ValueError`` is a bug.
+    """
+
+
+class GraphError(InputError):
     """Structurally invalid graph input (self-loop, bad id, disconnected)."""
 
 
@@ -136,7 +144,10 @@ def parse_graph(text: str) -> Graph:
     head = rows[0].split()
     if len(head) != 2:
         raise GraphError(f"bad header line: {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphError(f"bad header line: {rows[0]!r}") from None
     if len(rows) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(rows) - 1}")
     edges = []
@@ -144,5 +155,8 @@ def parse_graph(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphError(f"bad edge line: {ln!r}") from None
     return build_graph(n, edges)

@@ -53,8 +53,13 @@ A state's value is the level at which its bit appears.  Each half keeps
 the values as bit planes (bit j of the value of (c, r) is bit r of
 plane j of c), so the pass does no per-state work.  The move order only
 selects the half a result exposes, R for robber-first and F for
-cops-first; the other half gives the optimal strategies one-lookup
-replies, and both capture times come from one pass.  The naive oracle
+cops-first; both capture times come from one pass, and the optimal
+strategies read both halves.  The robber's reply is the neighbour with
+the largest cops-to-move value.  Because the bits R[c'] gains reach F[c]
+for every c in M(c'), F(c, r) is 1 + the min over c' in M(c) of V(c', r),
+or 1 when r is in N[c] minus c; so the cops' reply costs one F lookup
+for its value t, then a scan of the ordered replies for the first that
+lands on r (t = 1) or has robber-to-move value t - 1.  The naive oracle
 recomputes the fixed point by repeated full passes over all states (no
 canonicalization, no ordering) and is kept structurally independent on
 purpose.
@@ -76,11 +81,11 @@ from .engine import (
     ESCAPE,
     GameState,
     Graph,
+    InputError,
     MoveOrder,
     ResourceBudgetError,
     RobberStrategy,
     is_escape,
-    legal_cop_moves,
 )
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -127,6 +132,18 @@ class _Half(Mapping):
 
     def __len__(self) -> int:
         return self.size
+
+    def has_value(self, i: int, r: int, v: int) -> bool:
+        """Whether state (tuples[i], r) is resolved with value v >= 1.
+
+        Compares plane by plane and stops at the first bit that differs.
+        An unresolved state reads 0 on every plane, so it matches no v.
+        """
+        for plane in self.planes:
+            if (plane[i] >> r ^ v) & 1:
+                return False
+            v >>= 1
+        return not v
 
 
 @dataclass(frozen=True)
@@ -312,7 +329,7 @@ def solve(
 ) -> SolveResult:
     """Exact capture time, central tuples, and the full value table."""
     if k < 1:
-        raise ValueError("solve needs k >= 1")
+        raise InputError("solve needs k >= 1")
     estimate = _estimate_pairs(g, k)
     if estimate > state_budget:
         raise ResourceBudgetError(
@@ -369,7 +386,7 @@ def naive_value_iteration(
     doubles as the canonicalization soundness oracle.
     """
     if k < 1:
-        raise ValueError("naive_value_iteration needs k >= 1")
+        raise InputError("naive_value_iteration needs k >= 1")
     n = g.vertex_count
     if n ** (k + 1) > state_budget:
         raise ResourceBudgetError(
@@ -483,44 +500,51 @@ def naive_value_iteration(
 
 
 class OptimalCop(CopStrategy):
-    """Table-driven cops: smallest central placement, argmin responses.
+    """Table-driven cops: smallest central placement, first optimal reply.
 
-    Ties among equal-value replies go to the lexicographically smallest
+    The best reply's value t is one lookup in the cops-to-move half,
+    which the pass fills with 1 + the min over all replies of the
+    robber-to-move value, or 1 when a reply lands on the robber.  The
+    reply is the first ordered cop tuple, in :func:`legal_cop_moves`
+    order, that attains t: one that lands on the robber when t = 1,
+    otherwise one whose robber-to-move value is t - 1.  Ties among
+    equal-value replies therefore go to the lexicographically smallest
     ordered cop tuple.
     """
 
     def __init__(self, result: SolveResult):
         if is_escape(result.capture_time):
-            raise ValueError("no optimal cop strategy: the robber escapes")
+            raise InputError("no optimal cop strategy: the robber escapes")
         self.result = result
         self.table = table = result.table
-        # A cop reply leads to a robber-to-move state.
-        robber_first = table.move_order is MoveOrder.ROBBER_FIRST
-        self._robber_to_move = table.value if robber_first else table.other
+        if table.move_order is MoveOrder.ROBBER_FIRST:
+            self._cops_to_move, self._robber_to_move = table.other, table.value
+        else:
+            self._cops_to_move, self._robber_to_move = table.value, table.other
+        # Same lists, so the same move order, as legal_cop_moves.
+        self._closed = _closed_lists(table.graph)
 
     def place(self, g: Graph):
         return min(self.result.central_tuples), None
 
-    def _reply_value(self, mv: tuple[int, ...], robber: int) -> CaptureValue:
-        if robber in mv:
-            return 1
-        v = self._robber_to_move[(tuple(sorted(mv)), robber)]
-        return ESCAPE if is_escape(v) else 1 + v
-
     def respond(self, g: Graph, state: GameState, memory):
-        best_mv = None
-        best: CaptureValue = ESCAPE
-        for mv in legal_cop_moves(g, state.cops):
-            v = self._reply_value(mv, state.robber)
-            if is_escape(v):
-                continue
-            if best_mv is None or is_escape(best) or v < best:  # type: ignore[operator]
-                best = v
-                best_mv = mv
-        if best_mv is None:
-            # Every reply lets the robber escape; stay put.
-            best_mv = tuple(state.cops)
-        return best_mv, memory
+        r = state.robber
+        t = self._cops_to_move[(tuple(sorted(state.cops)), r)]
+        # A finite capture time leaves no state of either half at ESCAPE:
+        # the cops can first walk to a central tuple.
+        if is_escape(t):
+            raise RuntimeError(f"cops-to-move state {state.cops}, {r} escapes")
+        moves = itertools.product(*(self._closed[c] for c in state.cops))
+        if t == 1:
+            for mv in moves:
+                if r in mv:
+                    return mv, memory
+        else:
+            after, index = self._robber_to_move, self._robber_to_move.index
+            for mv in moves:
+                if after.has_value(index[tuple(sorted(mv))], r, t - 1):
+                    return mv, memory
+        raise RuntimeError(f"no cop reply from {state.cops}, {r} attains value {t}")
 
 
 class OptimalRobber(RobberStrategy):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .engine import CopStrategy, GameState, Graph, MoveOrder, RobberStrategy
 from .generators import splitmix64_next
-from .graphs import bfs_distances
+from .graphs import InputError, bfs_distances
 from .products import ProductGraph
 from .solver import DEFAULT_STATE_BUDGET, OptimalCop, OptimalRobber, solve
 from .trees import is_tree
@@ -86,7 +86,7 @@ class RandomRobber(RobberStrategy):
         return options[value % len(options)], state
 
 
-class StrategyMismatchError(ValueError):
+class StrategyMismatchError(InputError):
     """Strategy name incompatible with the given graph."""
 
 

@@ -28,7 +28,7 @@ from .generators import (
     path_graph,
     random_tree,
 )
-from .graphs import Graph, diameter
+from .graphs import Graph, InputError, diameter
 from .products import ProductGraph, cartesian_product
 from .solver import capture_time_both_orders, solve
 from .tree_strategies import ProductTwoCop, TreeChaseCop
@@ -287,7 +287,7 @@ def run_suite(name: str, **options) -> SuiteResult:
     The options are ``seed``, ``count``, ``max_size`` and ``max_mn``;
     those the suite does not take, or that are None, are ignored, so the
     suite's own defaults hold for anything unset; each one it takes is
-    checked before any work runs (a ValueError names the flag).  The
+    checked before any work runs (an InputError names the flag).  The
     entry is looked up per call and its signature read through any
     ``__wrapped__``, so a wrapper bound into ``SUITES`` still gets the
     options of the function it wraps.
@@ -298,5 +298,5 @@ def run_suite(name: str, **options) -> SuiteResult:
               if key in params and value is not None}
     for key, (flag, least) in _OPTION_FLOORS.items():
         if key in kwargs and kwargs[key] < least:
-            raise ValueError(f"{flag} must be at least {least}, got {kwargs[key]}")
+            raise InputError(f"{flag} must be at least {least}, got {kwargs[key]}")
     return suite(**kwargs)

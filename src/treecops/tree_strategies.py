@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import CopStrategy, GameState, Graph
+from .graphs import InputError
 from .products import ProductGraph
 from .trees import RootedTree, add_leaf, diametral_path, is_tree, root_tree, tree_rows
 
@@ -76,7 +77,7 @@ class TreeChaseCop(CopStrategy):
 
     def __init__(self, tree: Graph):
         if not is_tree(tree):
-            raise ValueError("TreeChaseCop plays on a tree")
+            raise InputError("TreeChaseCop plays on a tree")
         self.tree = tree
         self.start = center_start(tree)
         self._hop = [hop for _, hop in tree_rows(tree)]
@@ -144,7 +145,7 @@ def product_initial_placement(a1: Graph, a2: Graph) -> PlacementPlan:
     path2 = diametral_path(a2)
     d1, d2 = len(path1) - 1, len(path2) - 1
     if d1 % 2 != 1 or d2 % 2 != 0:
-        raise ValueError(f"need diameters (odd, even), got ({d1}, {d2})")
+        raise InputError(f"need diameters (odd, even), got ({d1}, {d2})")
     m, n = (d1 - 1) // 2, d2 // 2
     return PlacementPlan(
         m=m,
@@ -183,9 +184,9 @@ class ProductTwoCop(CopStrategy):
 
     def __init__(self, product: ProductGraph):
         if not (is_tree(product.factor1) and is_tree(product.factor2)):
-            raise ValueError("two-cop product strategy needs tree factors")
+            raise InputError("two-cop product strategy needs tree factors")
         if product.factor1.vertex_count < 2 or product.factor2.vertex_count < 2:
-            raise ValueError("factors must have diameter > 0")
+            raise InputError("factors must have diameter > 0")
         self.product = product
         self.tree1, self.tree2, self.parity = normalize_parity(
             product.factor1, product.factor2

@@ -183,6 +183,14 @@ def _connected_graphs_up_to(n_max: int):
                 yield g
 
 
+def _no_escape_state_if_captured(result) -> bool:
+    # With a finite capture time the cops can first walk to a central
+    # tuple, so no state of either half escapes; OptimalCop relies on it.
+    if is_escape(result.capture_time):
+        return True
+    return all(ESCAPE not in half.values() for half in (result.table.value, result.table.other))
+
+
 def _self_play_matches(g: Graph, result) -> bool:
     if is_escape(result.capture_time):
         return True
@@ -205,6 +213,7 @@ def test_criterion_8_solver_self_consistency():
         assert fast.capture_time == slow.capture_time
         assert fast.central_tuples == slow.central_tuples
         assert fast.table.value == slow.table.value
+        assert _no_escape_state_if_captured(fast)
         assert _self_play_matches(g, fast)
     rng = SplitMix64(88)
     sample = [graphs[rng.below(len(graphs))] for _ in range(30)]
@@ -213,6 +222,7 @@ def test_criterion_8_solver_self_consistency():
         slow = naive_value_iteration(g, 2)
         assert fast.capture_time == slow.capture_time
         assert fast.table.value == slow.table.value
+        assert _no_escape_state_if_captured(fast)
         assert _self_play_matches(g, fast)
     announce(8, "solve == naive oracle, exhaustive |V|<=6 + k=2 sample", started)
 

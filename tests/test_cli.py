@@ -152,6 +152,51 @@ def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: synthetic crash" in err
 
 
+def test_bare_value_error_is_internal_error(capsys, monkeypatch):
+    import treecops.cli as cli
+
+    def crashing(*args, **kwargs):
+        raise ValueError("synthetic bug")
+
+    monkeypatch.setattr(cli, "solve", crashing)
+    rc, out, err = run_cli(capsys, "solve", "--graph", "path:3", "--cops", "1")
+    assert rc == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err and "ValueError: synthetic bug" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--graph", "path:3", "--cops", "0"), "solve needs k >= 1"),
+    (("simulate", "--t1", "path:3", "--cops", "stationary", "--robber", "stationary",
+      "--k", "0"), "cop_count must be >= 1"),
+    (("simulate", "--t1", "path:3", "--cops", "stationary", "--robber", "stationary",
+      "--max-rounds", "0"), "max_rounds must be >= 1"),
+    (("simulate", "--t1", "grid:2x2", "--cops", "optimal", "--robber", "optimal"),
+     "no optimal cop strategy"),
+], ids=["solve-k", "simulate-k", "max-rounds", "optimal-cop-escape"])
+def test_rejected_values_are_input_errors(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["3 x\n", "3 2\n0 1\n1 y\n"], ids=["header", "edge"])
+def test_graph_file_with_a_non_integer_is_input_error(capsys, tmp_path, text):
+    gfile = tmp_path / "bad.g"
+    gfile.write_text(text)
+    rc, _, err = run_cli(capsys, "solve", "--graph", str(gfile), "--cops", "1")
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: bad ") and "Traceback" not in err
+
+
+def test_budget_env_not_an_integer_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "lots")
+    rc, _, err = run_cli(capsys, "solve", "--graph", "grid:3x3", "--cops", "2")
+    assert rc == EXIT_INPUT
+    assert f"error: {BUDGET_ENV} must be an integer" in err
+
+
 def test_solve_missing_graph(capsys):
     rc, _, err = run_cli(capsys, "solve", "--graph", "missing.g", "--cops", "1")
     assert rc == EXIT_INPUT
@@ -179,6 +224,8 @@ def test_simulate_lemma2_vs_optimal(tmp_path, capsys):
 @pytest.mark.parametrize("argv, prefixes", [
     (("--t1", "grid:4x4", "--cops", "optimal", "--robber", "optimal", "--k", "2"),
      {"robber-first": "5471bd869954e1fc", "cops-first": "ab35af26603d600c"}),
+    (("--t1", "grid:5x5", "--cops", "optimal", "--robber", "optimal", "--k", "3"),
+     {"robber-first": "67da3c771cde1e6a", "cops-first": "a7d41e215f0a5e8d"}),
     (("--t1", "path:4", "--t2", "path:3", "--cops", "lemma2", "--robber", "optimal"),
      {"robber-first": "30d784c92781a747", "cops-first": "a1b115f4252ba9c4"}),
     (("--t1", "tree:9:3", "--cops", "random", "--robber", "random", "--seed", "5"),
@@ -188,11 +235,13 @@ def test_simulate_lemma2_vs_optimal(tmp_path, capsys):
     (("--t1", "path:5", "--cops", "stationary", "--robber", "stationary",
       "--max-rounds", "3"),
      {"robber-first": "f9591c8b9815ccdc", "cops-first": "1b3119ac35f193a2"}),
-], ids=["grid-optimal", "product-lemma2", "tree-random", "tree-random-cop", "survived"])
+], ids=["grid-optimal", "grid-optimal-k3", "product-lemma2", "tree-random", "tree-random-cop",
+        "survived"])
 def test_simulate_stdout_is_pinned(capsys, argv, prefixes, order):
     # Digests of the stdout written while advance_round still kept one
     # branch per move order; tree-random's since the random robber draws
-    # from a stream of its own.
+    # from a stream of its own; grid-optimal-k3's while OptimalCop still
+    # decoded the value of every reply.
     rc, out, _ = run_cli(capsys, "simulate", *argv, "--order", order)
     assert rc == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefixes[order]

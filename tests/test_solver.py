@@ -15,7 +15,9 @@ from treecops import (
     cycle_graph,
     dump_value_table,
     grid_graph,
+    InputError,
     is_escape,
+    legal_cop_moves,
     naive_value_iteration,
     OptimalCop,
     OptimalRobber,
@@ -28,6 +30,8 @@ from treecops import (
 from treecops.engine import ResourceBudgetError
 from treecops.generators import SplitMix64
 from treecops.solver import _closed_lists, _cop_configuration_space
+
+_TREE4XTREE3 = cartesian_product(random_tree(4, 21), random_tree(3, 22)).flat
 
 
 def test_path4_one_cop():
@@ -180,7 +184,7 @@ def test_optimal_cop_places_smallest_central_tuple():
 
 
 def test_optimal_cop_rejects_escape():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         OptimalCop(solve(cycle_graph(4), 1))
 
 
@@ -276,6 +280,33 @@ def test_one_pass_serves_both_orders():
         assert cf.table.other == rf.table.value
 
 
+@pytest.mark.parametrize(
+    "g, k",
+    [(grid_graph(3, 3), 2), (grid_graph(2, 3), 3), (path_graph(5), 1), (_TREE4XTREE3, 2),
+     (cycle_graph(5), 1), (cycle_graph(5), 2)],
+    ids=["grid:3x3", "grid:2x3", "path:5", "tree4xtree3", "cycle:5-k1", "cycle:5-k2"],
+)
+def test_halves_satisfy_the_one_step_identities(g, k):
+    # OptimalCop reads the best reply's value from the cops-to-move half
+    # and looks for a reply attaining it in the robber-to-move half; both
+    # halves, read through value_of, must obey the one-step recurrence.
+    cops_to_move = solve(g, k, MoveOrder.COPS_FIRST).table
+    robber_to_move = solve(g, k, MoveOrder.ROBBER_FIRST).table
+    closed = [g.closed_neighborhood(v) for v in range(g.vertex_count)]
+    for cops, r in robber_to_move.value:
+        replies = [robber_to_move.value_of(mv, r) for mv in legal_cop_moves(g, cops)]
+        finite = [v for v in replies if not is_escape(v)]
+        if any(r in closed[c] for c in cops):
+            want = 1
+        else:
+            want = 1 + min(finite) if finite else ESCAPE
+        assert cops_to_move.value_of(cops, r) == want, (cops, r)
+
+        after = [cops_to_move.value_of(cops, rp) for rp in closed[r] if rp not in cops]
+        want = ESCAPE if any(is_escape(v) for v in after) else max(after)
+        assert robber_to_move.value_of(cops, r) == want, (cops, r)
+
+
 def test_value_table_is_a_read_only_mapping():
     value = solve(path_graph(4), 1).table.value
     assert isinstance(value, Mapping)
@@ -331,7 +362,9 @@ def _argmax_robber(g, table, cops, r):
 
 
 @pytest.mark.parametrize(
-    "g, k", [(grid_graph(3, 3), 2), (grid_graph(2, 3), 3)], ids=["grid:3x3", "grid:2x3"]
+    "g, k",
+    [(grid_graph(3, 3), 2), (grid_graph(2, 3), 3), (_TREE4XTREE3, 2), (path_graph(5), 1)],
+    ids=["grid:3x3", "grid:2x3", "tree4xtree3", "path:5"],
 )
 @pytest.mark.parametrize("order", list(MoveOrder), ids=lambda o: o.value)
 def test_optimal_moves_are_the_recurrence_argmin(g, k, order):
@@ -353,7 +386,7 @@ _MOVE_GRAPHS = {
     "grid:1x1": grid_graph(1, 1),
     "path:3": path_graph(3),
     "grid:3x4": grid_graph(3, 4),
-    "tree4xtree3": cartesian_product(random_tree(4, 21), random_tree(3, 22)).flat,
+    "tree4xtree3": _TREE4XTREE3,
 }
 
 

@@ -5,6 +5,7 @@ from treecops import (
     GameConfig,
     build_graph,
     GameState,
+    InputError,
     MoveOrder,
     Side,
     best_response_length,
@@ -108,7 +109,7 @@ def test_initial_placement_p2_p3():
 
 
 def test_initial_placement_rejects_wrong_parity():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         product_initial_placement(path_graph(3), path_graph(3))
 
 
@@ -244,8 +245,15 @@ def test_two_cop_rejects_non_tree_factors():
     from treecops import cycle_graph
 
     prod = cartesian_product(cycle_graph(4), path_graph(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         ProductTwoCop(prod)
+
+
+def test_tree_chase_rejects_a_non_tree():
+    from treecops import cycle_graph
+
+    with pytest.raises(InputError):
+        TreeChaseCop(cycle_graph(4))
 
 
 def test_two_cop_works_cops_first_order():

@@ -142,27 +142,16 @@ def test_solve_graph_is_a_directory_is_input_error(capsys, tmp_path):
 def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
     import treecops.cli as cli
 
-    def crashing(*args, **kwargs):
-        raise RuntimeError("synthetic crash")
+    # A bare ValueError is a bug too: only InputError means bad input.
+    for error in (RuntimeError, ValueError):
+        def crashing(*args, **kwargs):
+            raise error("synthetic crash")
 
-    monkeypatch.setattr(cli, "solve", crashing)
-    rc, out, err = run_cli(capsys, "solve", "--graph", "path:3", "--cops", "1")
-    assert rc == EXIT_INTERNAL
-    assert out == ""
-    assert "Traceback" in err and "RuntimeError: synthetic crash" in err
-
-
-def test_bare_value_error_is_internal_error(capsys, monkeypatch):
-    import treecops.cli as cli
-
-    def crashing(*args, **kwargs):
-        raise ValueError("synthetic bug")
-
-    monkeypatch.setattr(cli, "solve", crashing)
-    rc, out, err = run_cli(capsys, "solve", "--graph", "path:3", "--cops", "1")
-    assert rc == EXIT_INTERNAL
-    assert out == ""
-    assert "Traceback" in err and "ValueError: synthetic bug" in err
+        monkeypatch.setattr(cli, "solve", crashing)
+        rc, out, err = run_cli(capsys, "solve", "--graph", "path:3", "--cops", "1")
+        assert rc == EXIT_INTERNAL
+        assert out == ""
+        assert "Traceback" in err and f"{error.__name__}: synthetic crash" in err
 
 
 @pytest.mark.parametrize("argv, message", [

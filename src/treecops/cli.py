@@ -1,14 +1,17 @@
 """Command-line entry point: solve, verify, simulate, gen.
 
-Exit codes: 0 success / all claims pass, 1 verification failure,
-2 input error (a bad path included), 3 resource budget exceeded,
-4 internal error (traceback on stderr).  Reports and traces are
+Exit codes: 0 success / all claims pass, 1 verification failure (a
+strategy invariant tripped inside `verify` included), 2 input error (a
+bad path included), 3 resource budget exceeded, 4 internal error with
+its traceback on stderr (an illegal move by a built-in strategy, or a
+tripped invariant outside `verify`, included).  Reports and traces are
 byte-identical across runs for identical arguments; wall-clock timing
 goes to stderr so it cannot perturb that.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -17,7 +20,6 @@ from pathlib import Path
 
 from .engine import (
     GameConfig,
-    IllegalMoveError,
     MoveOrder,
     Outcome,
     ResourceBudgetError,
@@ -165,10 +167,10 @@ def _play(args, t1: Graph, t2: Graph | None) -> tuple[Outcome, str]:
     k = args.k if args.k is not None else (2 if product is not None else 1)
     order, budget = _order(args), _budget(args)
     config = GameConfig(cop_count=k, move_order=order, max_rounds=args.max_rounds)
-    cop = make_cop_strategy(args.cops, g, k, product=product, order=order, seed=args.seed,
-                            state_budget=budget)
-    robber = make_robber_strategy(args.robber, g, k, order=order, seed=args.seed,
-                                  state_budget=budget)
+    # Both optimal strategies play from one solve, made only if one asks.
+    solved = functools.cache(lambda: solve(g, k, order, state_budget=budget))
+    cop = make_cop_strategy(args.cops, g, k, solved=solved, product=product, seed=args.seed)
+    robber = make_robber_strategy(args.robber, solved=solved, seed=args.seed)
     trace = simulate(g, config, cop, robber)
     label = f"{args.t1} x {args.t2}" if args.t2 else args.t1
     renderer = str if product is None else lambda v: "(%d,%d)" % product.pair_of(v)
@@ -274,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, IllegalMoveError, StrategyInvariantError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

@@ -173,6 +173,14 @@ def _check_vertex(g: Graph, v: int, who: str) -> None:
         raise IllegalMoveError(f"{who} chose invalid vertex {v!r}")
 
 
+def _check_cop_placement(g: Graph, config: GameConfig, cops: tuple[int, ...]) -> None:
+    if len(cops) != config.cop_count:
+        raise IllegalMoveError(
+            f"cop strategy placed {len(cops)} cops, config wants {config.cop_count}")
+    for i, c in enumerate(cops):
+        _check_vertex(g, c, f"cop {i}")
+
+
 def _check_robber_move(g: Graph, old: int, new: int) -> None:
     _check_vertex(g, new, "robber")
     if new != old and not g.has_edge(old, new):
@@ -234,12 +242,7 @@ def simulate(
 ) -> Trace:
     """Play placements plus rounds until capture or the round cutoff."""
     cops0, cop_memory = cop_strategy.place(g)
-    if len(cops0) != config.cop_count:
-        raise IllegalMoveError(
-            f"cop strategy placed {len(cops0)} cops, config wants {config.cop_count}"
-        )
-    for i, c in enumerate(cops0):
-        _check_vertex(g, c, f"cop {i}")
+    _check_cop_placement(g, config, cops0)
     r0, robber_memory = robber_strategy.place(g, cops0)
     _check_vertex(g, r0, "robber")
 
@@ -282,10 +285,7 @@ def best_response_length(
     """
     closed = [g.closed_neighborhood(v) for v in range(g.vertex_count)]
     cops0, memory0 = cop_strategy.place(g)
-    if len(cops0) != config.cop_count:
-        raise IllegalMoveError(
-            f"cop strategy placed {len(cops0)} cops, config wants {config.cop_count}"
-        )
+    _check_cop_placement(g, config, cops0)
     cops0 = tuple(cops0)
     robber_first = config.move_order is MoveOrder.ROBBER_FIRST
 

@@ -52,14 +52,19 @@ list is stored.
 A state's value is the level at which its bit appears.  Each half keeps
 the values as bit planes (bit j of the value of (c, r) is bit r of
 plane j of c), so the pass does no per-state work.  The move order only
-selects the half a result exposes, R for robber-first and F for
-cops-first; both capture times come from one pass, and the optimal
-strategies read both halves.  The robber's reply is the neighbour with
-the largest cops-to-move value.  Because the bits R[c'] gains reach F[c]
-for every c in M(c'), F(c, r) is 1 + the min over c' in M(c) of V(c', r),
-or 1 when r is in N[c] minus c; so the cops' reply costs one F lookup
-for its value t, then a scan of the ordered replies for the first that
-lands on r (t = 1) or has robber-to-move value t - 1.  The naive oracle
+selects the half a result exposes, the one of the side that moves
+first (:meth:`ValueTable.half`): R for robber-first and F for
+cops-first.  Both capture times come from one pass, and the optimal
+strategies read both halves by one rule: look up the value of the best
+reply in the mover's half, then take the first reply that attains it
+in the other half.  R(c, r) is the max over the free r' in N[r] of
+F(c, r'), so the robber's reply costs one R lookup for its value v and
+a scan of N[r] for the first free r' with F(c, r') = v (ESCAPE
+included).  Because the bits R[c'] gains reach F[c] for every c in
+M(c'), F(c, r) is 1 + the min over c' in M(c) of V(c', r), or 1 when r
+is in N[c] minus c; so the cops' reply costs one F lookup for its value
+t, then a scan of the ordered replies for the first that lands on r
+(t = 1) or has robber-to-move value t - 1.  The naive oracle
 recomputes the fixed point by repeated full passes over all states (no
 canonicalization, no ordering) and is kept structurally independent on
 purpose.
@@ -85,6 +90,8 @@ from .engine import (
     MoveOrder,
     ResourceBudgetError,
     RobberStrategy,
+    Side,
+    _HALF_MOVES,
     is_escape,
 )
 
@@ -133,12 +140,14 @@ class _Half(Mapping):
     def __len__(self) -> int:
         return self.size
 
-    def has_value(self, i: int, r: int, v: int) -> bool:
-        """Whether state (tuples[i], r) is resolved with value v >= 1.
+    def attains(self, i: int, r: int, v: CaptureValue) -> bool:
+        """Whether free state (tuples[i], r) has value v: v >= 1, or ESCAPE.
 
         Compares plane by plane and stops at the first bit that differs.
-        An unresolved state reads 0 on every plane, so it matches no v.
+        An unresolved state reads 0 on every plane, so it matches no int.
         """
+        if v is ESCAPE:
+            return not self.done[i] >> r & 1
         for plane in self.planes:
             if (plane[i] >> r ^ v) & 1:
                 return False
@@ -150,9 +159,9 @@ class _Half(Mapping):
 class ValueTable:
     """Game values for every uncaptured (sorted cop tuple, robber) state.
 
-    ``value`` is the half the move order stores: robber to move for
-    robber-first rounds, cops to move for cops-first rounds.  ``other``
-    is the other half of the same pass; only :func:`solve` fills it.
+    ``value`` is the half the move order stores, the one with the side
+    that moves first in a round to move.  ``other`` is the other half of
+    the same pass; only :func:`solve` fills it.
     """
 
     graph: Graph
@@ -167,13 +176,9 @@ class ValueTable:
             return 0
         return self.value[(key, robber)]
 
-    def dump_lines(self) -> list[str]:
-        """Lines "c1 ... ck r v" with v an integer or ESC, sorted."""
-        out = []
-        for (cops, r), v in sorted(self.value.items()):
-            tag = "ESC" if is_escape(v) else str(v)
-            out.append(" ".join(str(c) for c in cops) + f" {r} {tag}")
-        return out
+    def half(self, side: Side) -> Mapping[StateKey, CaptureValue]:
+        """The half with ``side`` to move."""
+        return self.value if side is _HALF_MOVES[self.move_order][0] else self.other
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,12 @@ class SolveResult:
 
 
 def dump_value_table(table: ValueTable) -> str:
-    return "\n".join(table.dump_lines()) + "\n"
+    """Lines "c1 ... ck r v" with v an integer or ESC, sorted."""
+    lines = []
+    for (cops, r), v in sorted(table.value.items()):
+        tag = "ESC" if is_escape(v) else str(v)
+        lines.append(" ".join(str(c) for c in cops) + f" {r} {tag}")
+    return "\n".join(lines) + "\n"
 
 
 def _closed_lists(g: Graph) -> list[tuple[int, ...]]:
@@ -237,8 +247,8 @@ def _estimate_pairs(g: Graph, k: int) -> int:
     return int(tuple_count * n * (avg_deg + max_branch))
 
 
-def _retrograde(g: Graph, k: int) -> tuple[_Half, _Half]:
-    """(cops-to-move half, robber-to-move half) of one level-synchronous pass."""
+def _retrograde(g: Graph, k: int) -> dict[Side, _Half]:
+    """The two halves of one level-synchronous pass, by the side to move."""
     n = g.vertex_count
     closed = _closed_lists(g)
     tuples, index, masks, moves = _cop_configuration_space(g, k, closed)
@@ -299,10 +309,10 @@ def _retrograde(g: Graph, k: int) -> tuple[_Half, _Half]:
                     pl[i] |= gain
                 dirty.append(i)
     size = sum(f.bit_count() for f in free)
-    return (
-        _Half(tuples, index, free, size, first, top_first, planes_first),
-        _Half(tuples, index, free, size, last, top_last, planes_last),
-    )
+    return {
+        Side.COPS: _Half(tuples, index, free, size, first, top_first, planes_first),
+        Side.ROBBER: _Half(tuples, index, free, size, last, top_last, planes_last),
+    }
 
 
 def _capture(half: _Half) -> tuple[CaptureValue, tuple[tuple[int, ...], ...]]:
@@ -337,16 +347,13 @@ def solve(
             f"> budget {state_budget}",
             estimate,
         )
-    cops_to_move, robber_to_move = _retrograde(g, k)
-    if order is MoveOrder.ROBBER_FIRST:
-        stored, other = robber_to_move, cops_to_move
-    else:
-        stored, other = cops_to_move, robber_to_move
-    capture_time, central = _capture(stored)
+    halves = _retrograde(g, k)
+    first, second = _HALF_MOVES[order]
+    capture_time, central = _capture(halves[first])
     return SolveResult(
         capture_time=capture_time,
         central_tuples=central,
-        table=ValueTable(g, k, order, stored, other),
+        table=ValueTable(g, k, order, halves[first], halves[second]),
     )
 
 
@@ -355,7 +362,7 @@ def capture_time_both_orders(
 ) -> tuple[CaptureValue, CaptureValue]:
     """(robber-first, cops-first) capture times from one pass; equality is a test concern."""
     rf = solve(g, k, MoveOrder.ROBBER_FIRST, state_budget=state_budget)
-    return rf.capture_time, _capture(rf.table.other)[0]
+    return rf.capture_time, _capture(rf.table.half(Side.COPS))[0]
 
 
 # --- naive oracle ------------------------------------------------------------
@@ -517,10 +524,7 @@ class OptimalCop(CopStrategy):
             raise InputError("no optimal cop strategy: the robber escapes")
         self.result = result
         self.table = table = result.table
-        if table.move_order is MoveOrder.ROBBER_FIRST:
-            self._cops_to_move, self._robber_to_move = table.other, table.value
-        else:
-            self._cops_to_move, self._robber_to_move = table.value, table.other
+        self._cops_to_move, self._robber_to_move = table.half(Side.COPS), table.half(Side.ROBBER)
         # Same lists, so the same move order, as legal_cop_moves.
         self._closed = _closed_lists(table.graph)
 
@@ -542,46 +546,40 @@ class OptimalCop(CopStrategy):
         else:
             after, index = self._robber_to_move, self._robber_to_move.index
             for mv in moves:
-                if after.has_value(index[tuple(sorted(mv))], r, t - 1):
+                if after.attains(index[tuple(sorted(mv))], r, t - 1):
                     return mv, memory
         raise RuntimeError(f"no cop reply from {state.cops}, {r} attains value {t}")
 
 
 class OptimalRobber(RobberStrategy):
-    """Table-driven robber: escape beats any finite value, ties to small ids."""
+    """Table-driven robber: escape beats any finite value, ties to small ids.
+
+    The mirror of :class:`OptimalCop`.  The best reply's value v is one
+    lookup in the robber-to-move half, which the pass fills with the max
+    over the free r' in N[r] of the cops-to-move value (ESCAPE if any
+    escapes).  The reply is the first such r', in sorted order, that
+    attains v in the cops-to-move half.  Like :class:`OptimalCop`, it
+    plays from a :func:`solve` result, which holds both halves.
+    """
 
     def __init__(self, result: SolveResult):
         self.result = result
         self.table = table = result.table
-        # A robber move leads to a cops-to-move state.
-        robber_first = table.move_order is MoveOrder.ROBBER_FIRST
-        self._cops_to_move = table.other if robber_first else table.value
+        self._cops_to_move, self._robber_to_move = table.half(Side.COPS), table.half(Side.ROBBER)
+        self._closed = _closed_lists(table.graph)
 
     def place(self, g: Graph, cops: tuple[int, ...]):
-        best_r = 0
-        best: CaptureValue = self.table.value_of(cops, 0)
-        for r in range(1, g.vertex_count):
-            v = self.table.value_of(cops, r)
-            if is_escape(best):
-                break
-            if is_escape(v) or v > best:  # type: ignore[operator]
-                best = v
-                best_r = r
-        return best_r, None
+        values = [self.table.value_of(cops, r) for r in range(g.vertex_count)]
+        return values.index(ESCAPE if ESCAPE in values else max(values)), None
 
     def respond(self, g: Graph, state: GameState, memory):
-        best_r = None
-        best: CaptureValue = 0
+        r = state.robber
         cops = tuple(sorted(state.cops))
-        for rp in g.closed_neighborhood(state.robber):
-            if rp in cops:
-                continue
-            v = self._cops_to_move[(cops, rp)]
-            if best_r is None or is_escape(v) or (not is_escape(best) and v > best):  # type: ignore[operator]
-                best_r = rp
-                best = v
-            if is_escape(v):
-                break
-        if best_r is None:
-            best_r = state.robber  # staying is always legal while uncaptured
-        return best_r, memory
+        v = self._robber_to_move[(cops, r)]
+        after = self._cops_to_move
+        i = after.index[cops]
+        # N[r] holds r, which is free while the robber is uncaptured.
+        for rp in self._closed[r]:
+            if rp not in cops and after.attains(i, rp, v):
+                return rp, memory
+        raise RuntimeError(f"no robber reply from {state.cops}, {r} attains value {v}")

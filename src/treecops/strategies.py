@@ -1,11 +1,13 @@
 """Simple players and the by-name strategy registry used by the CLI."""
 from __future__ import annotations
 
-from .engine import CopStrategy, GameState, Graph, MoveOrder, RobberStrategy
+from typing import Callable
+
+from .engine import CopStrategy, GameState, Graph, RobberStrategy
 from .generators import splitmix64_next
 from .graphs import InputError, bfs_distances
 from .products import ProductGraph
-from .solver import DEFAULT_STATE_BUDGET, OptimalCop, OptimalRobber, solve
+from .solver import OptimalCop, OptimalRobber, SolveResult
 from .trees import is_tree
 from .tree_strategies import ProductTwoCop, TreeChaseCop
 
@@ -95,11 +97,11 @@ def make_cop_strategy(
     g: Graph,
     k: int,
     *,
+    solved: Callable[[], SolveResult],
     product: ProductGraph | None = None,
-    order: MoveOrder = MoveOrder.ROBBER_FIRST,
     seed: int = 0,
-    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> CopStrategy:
+    """The named cop strategy; ``solved()`` is the solve 'optimal' plays from."""
     if name == "thm1":
         if product is not None or not is_tree(g):
             raise StrategyMismatchError("'thm1' plays one cop on a single tree")
@@ -113,7 +115,7 @@ def make_cop_strategy(
             raise StrategyMismatchError("'lemma2' needs exactly two cops")
         return ProductTwoCop(product)
     if name == "optimal":
-        return OptimalCop(solve(g, k, order, state_budget=state_budget))
+        return OptimalCop(solved())
     if name == "random":
         return RandomCop(k, seed)
     if name == "stationary":
@@ -122,16 +124,10 @@ def make_cop_strategy(
 
 
 def make_robber_strategy(
-    name: str,
-    g: Graph,
-    k: int,
-    *,
-    order: MoveOrder = MoveOrder.ROBBER_FIRST,
-    seed: int = 0,
-    state_budget: int = DEFAULT_STATE_BUDGET,
+    name: str, *, solved: Callable[[], SolveResult], seed: int = 0
 ) -> RobberStrategy:
     if name == "optimal":
-        return OptimalRobber(solve(g, k, order, state_budget=state_budget))
+        return OptimalRobber(solved())
     if name == "random":
         return RandomRobber(seed)
     if name == "stationary":

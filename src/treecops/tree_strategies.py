@@ -99,7 +99,6 @@ class ParityRecord:
     swapped: bool
     augmented: int | None  # 0/1: which arranged tree carries the leaf
     virtual_vertex: int | None
-    anchor: int | None
 
 
 def normalize_parity(t1: Graph, t2: Graph) -> tuple[Graph, Graph, ParityRecord]:
@@ -112,16 +111,14 @@ def normalize_parity(t1: Graph, t2: Graph) -> tuple[Graph, Graph, ParityRecord]:
     d1 = len(diametral_path(t1)) - 1
     d2 = len(diametral_path(t2)) - 1
     if d1 % 2 == 1 and d2 % 2 == 0:
-        return t1, t2, ParityRecord(False, None, None, None)
+        return t1, t2, ParityRecord(False, None, None)
     if d1 % 2 == 0 and d2 % 2 == 1:
-        return t2, t1, ParityRecord(True, None, None, None)
+        return t2, t1, ParityRecord(True, None, None)
     if d1 % 2 == 0:  # both even: first factor gains the leaf
-        anchor = diametral_path(t1)[-1]
-        a1 = add_leaf(t1, anchor)
-        return a1, t2, ParityRecord(False, 0, a1.vertex_count - 1, anchor)
-    anchor = diametral_path(t2)[-1]  # both odd: second factor gains the leaf
-    a2 = add_leaf(t2, anchor)
-    return t1, a2, ParityRecord(False, 1, a2.vertex_count - 1, anchor)
+        a1 = add_leaf(t1, diametral_path(t1)[-1])
+        return a1, t2, ParityRecord(False, 0, a1.vertex_count - 1)
+    a2 = add_leaf(t2, diametral_path(t2)[-1])  # both odd: second factor gains the leaf
+    return t1, a2, ParityRecord(False, 1, a2.vertex_count - 1)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,53 @@ def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
         assert "Traceback" in err and f"{error.__name__}: synthetic crash" in err
 
 
+def test_illegal_move_by_a_built_in_strategy_is_internal_error(capsys, monkeypatch):
+    # Only the package's own strategies play in simulate, so an illegal
+    # move is a bug in the package, not bad input.
+    from treecops.solver import OptimalCop
+
+    monkeypatch.setattr(OptimalCop, "respond", lambda self, g, state, memory: ((99,), memory))
+    rc, out, err = run_cli(capsys, "simulate", "--t1", "path:5", "--cops", "optimal",
+                           "--robber", "optimal")
+    assert rc == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err and "IllegalMoveError: cop 0 chose invalid vertex 99" in err
+
+
+def test_strategy_invariant_outside_verify_is_internal_error(capsys, monkeypatch):
+    from treecops.tree_strategies import ProductTwoCop, StrategyInvariantError
+
+    def exploding(self, g, state, memory):
+        raise StrategyInvariantError("synthetic violation")
+
+    monkeypatch.setattr(ProductTwoCop, "respond", exploding)
+    rc, out, err = run_cli(capsys, "simulate", "--t1", "path:4", "--t2", "path:3",
+                           "--cops", "lemma2", "--robber", "optimal")
+    assert rc == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err and "StrategyInvariantError: synthetic violation" in err
+
+
+@pytest.mark.parametrize("cops, robber, calls", [
+    ("optimal", "optimal", 1), ("lemma2", "optimal", 1), ("random", "stationary", 0),
+])
+def test_simulate_solves_only_if_asked_and_at_most_once(capsys, monkeypatch, cops, robber,
+                                                        calls):
+    import treecops.cli as cli
+
+    solves, original = [], cli.solve
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", counting)
+    rc, _, _ = run_cli(capsys, "simulate", "--t1", "path:4", "--t2", "path:3",
+                       "--cops", cops, "--robber", robber)
+    assert rc == EXIT_OK
+    assert len(solves) == calls
+
+
 @pytest.mark.parametrize("argv, message", [
     (("solve", "--graph", "path:3", "--cops", "0"), "solve needs k >= 1"),
     (("simulate", "--t1", "path:3", "--cops", "stationary", "--robber", "stationary",

@@ -72,6 +72,16 @@ class ExtraCop(CopStrategy):
         return state.cops * 2, memory
 
 
+class OffGraphCop(CopStrategy):
+    """Test helper: places its cop on a vertex the graph does not have."""
+
+    def place(self, g):
+        return (99,), None
+
+    def respond(self, g, state, memory):
+        return state.cops, memory
+
+
 class CountingCop(CopStrategy):
     """Ever-growing memory: the best-response search cannot memoize."""
 
@@ -220,6 +230,15 @@ def test_illegal_cop_move_reported():
 def test_best_response_checks_every_cop_reply(cop, message, order):
     with pytest.raises(IllegalMoveError, match=message):
         best_response_length(path_graph(5), GameConfig(cop_count=1, move_order=order), cop)
+
+
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_simulate_and_best_response_check_the_placement_alike(order):
+    config = GameConfig(cop_count=1, move_order=order)
+    with pytest.raises(IllegalMoveError, match="cop 0 chose invalid vertex 99"):
+        simulate(path_graph(5), config, OffGraphCop(), StationaryRobber())
+    with pytest.raises(IllegalMoveError, match="cop 0 chose invalid vertex 99"):
+        best_response_length(path_graph(5), config, OffGraphCop())
 
 
 def test_game_state_is_a_positional_immutable_record():

@@ -9,6 +9,7 @@ from treecops import (
     ESCAPE,
     GameConfig,
     MoveOrder,
+    Side,
     build_graph,
     capture_time_both_orders,
     cartesian_product,
@@ -278,6 +279,9 @@ def test_one_pass_serves_both_orders():
         cf = solve(g, k, MoveOrder.COPS_FIRST)
         assert rf.table.other == cf.table.value
         assert cf.table.other == rf.table.value
+        for res in (rf, cf):
+            assert res.table.half(Side.ROBBER) == rf.table.value
+            assert res.table.half(Side.COPS) == cf.table.value
 
 
 @pytest.mark.parametrize(
@@ -380,6 +384,32 @@ def test_optimal_moves_are_the_recurrence_argmin(g, k, order):
             state = GameState(cops, r, 1, Side.COPS)
             assert cop.respond(g, state, None)[0] == _argmin_cop(g, res.table, cops, r)
             assert robber.respond(g, state, None)[0] == _argmax_robber(g, res.table, cops, r)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), grid_graph(2, 2)], ids=["cycle:5", "grid:2x2"])
+@pytest.mark.parametrize("order", list(MoveOrder), ids=lambda o: o.value)
+def test_optimal_robber_is_the_recurrence_argmax_with_escapes(g, order):
+    # One cop never catches the robber here, so the robber's ESCAPE
+    # replies are played; OptimalCop refuses such graphs.
+    from treecops import GameState
+
+    res = solve(g, 1, order)
+    assert is_escape(res.capture_time)
+    robber = OptimalRobber(res)
+    n = g.vertex_count
+    escapes = 0
+    for c in range(n):
+        values = [res.table.value_of((c,), r) for r in range(n)]
+        # max() keeps the first of equal keys; ESCAPE ranks above every int.
+        first_max = max(range(n), key=lambda r: (1, 0) if is_escape(values[r]) else (0, values[r]))
+        assert robber.place(g, (c,))[0] == first_max
+        for r in range(n):
+            if r == c:
+                continue
+            reply = robber.respond(g, GameState((c,), r, 1, Side.ROBBER), None)[0]
+            assert reply == _argmax_robber(g, res.table, (c,), r)
+            escapes += is_escape(res.table.half(Side.COPS)[((c,), reply)])
+    assert escapes
 
 
 _MOVE_GRAPHS = {

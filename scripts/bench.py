@@ -8,7 +8,9 @@ Runs ``bench/run.py`` for every workload in BENCHMARK.json, untraced
 - for each workload, every run's reported end-to-end figures, and the
   median and quartiles of each end-to-end metric over the child lines
   of all runs;
-- the per-layer metrics of the ``--trace 1`` run.
+- the per-layer metrics of the ``--trace 1`` run;
+- for each checkout, its ``git rev-parse HEAD`` and ``dirty``, true when
+  tracked files differ from that commit (null for both outside git).
 
 With ``--parent DIR`` (a checkout of the parent commit) both checkouts
 are measured, in alternating order from run to run, and each metric
@@ -20,6 +22,7 @@ Usage: python3 scripts/bench.py --out BENCH_<n>.json [--runs N]
 """
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -46,6 +49,19 @@ def bench_run(checkout: Path, workload: str, args, trace: bool) -> dict:
     children = [{key: float(value) for key, value in CHILD_FIELD.findall(line)}
                 for line in lines if line.startswith("# child ")]
     return {"env": lines[0], "children": children, "result": json.loads(lines[-1])}
+
+
+def revision(checkout: Path) -> dict:
+    """The commit a checkout is at, and whether its tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              env={**os.environ, "GIT_CEILING_DIRECTORIES": str(checkout.parent)})
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return {"head": None, "dirty": None}
+    status = git("status", "--porcelain", "--untracked-files=no").stdout
+    return {"head": head.stdout.strip(), "dirty": bool(status.strip())}
 
 
 def spread(values: list) -> dict:
@@ -92,6 +108,7 @@ def main() -> int:
     sides = {"change": ROOT}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
+    revisions = {side: revision(path) for side, path in sides.items()}
     workloads = {}
     for workload in (w["name"] for w in definition["workloads"]):
         runs = {side: [] for side in sides}
@@ -114,7 +131,7 @@ def main() -> int:
         workloads[workload] = entry
     record = {"env": next(iter(workloads.values()))["change"]["env"], "seed": SEED,
               "seconds": args.seconds, "size": args.size, "runs": args.runs,
-              "workloads": workloads}
+              "revisions": revisions, "workloads": workloads}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

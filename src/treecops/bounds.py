@@ -125,10 +125,7 @@ def check_lemma3(g: Graph, result: SolveResult) -> BoundReport:
     if is_escape(result.capture_time):
         return _escaped(report, "capt2-finite")
     t = result.capture_time
-    report.provenance["capt2"] = t
-    report.provenance["central"] = result.central_tuples
     qualifying = qualifying_c4_vertices(g)
-    report.provenance["qualifying"] = len(qualifying)
     if not qualifying:
         report.claims.append(vacuous_claim("lemma3"))
         return report
@@ -155,8 +152,6 @@ def check_theorem2(product: ProductGraph, result: SolveResult) -> BoundReport:
     if is_escape(result.capture_time):
         return _escaped(report, "capt2-finite")
     t = result.capture_time
-    report.provenance["capt2"] = t
-    report.provenance["diam"] = d
     report.claims.append(make_claim("theorem2-equality", t, "==", d // 2))
 
     # Opposite ends of the product's diametral paths are qualifying
@@ -191,7 +186,6 @@ def check_corollaries(product: ProductGraph, result: SolveResult) -> BoundReport
     t2 = result.capture_time
     c1a = solve(product.factor1, 1).capture_time
     c1b = solve(product.factor2, 1).capture_time
-    report.provenance["capt2"] = t2
     report.provenance["factor_capt1"] = (c1a, c1b)
     report.claims.append(make_claim("sandwich-lower", c1a + c1b - 1, "<=", t2))
     report.claims.append(make_claim("sandwich-upper", t2, "<=", c1a + c1b))

@@ -357,11 +357,9 @@ def solve(
     )
 
 
-def capture_time_both_orders(
-    g: Graph, k: int, *, state_budget: int = DEFAULT_STATE_BUDGET
-) -> tuple[CaptureValue, CaptureValue]:
+def capture_time_both_orders(g: Graph, k: int) -> tuple[CaptureValue, CaptureValue]:
     """(robber-first, cops-first) capture times from one pass; equality is a test concern."""
-    rf = solve(g, k, MoveOrder.ROBBER_FIRST, state_budget=state_budget)
+    rf = solve(g, k, MoveOrder.ROBBER_FIRST)
     return rf.capture_time, _capture(rf.table.half(Side.COPS))[0]
 
 
@@ -506,6 +504,14 @@ def naive_value_iteration(
 # --- optimal strategy extraction ---------------------------------------------
 
 
+def _both_halves(result: SolveResult):
+    """The (cops-to-move, robber-to-move) halves an optimal strategy reads."""
+    table = result.table
+    if table.other is None:
+        raise InputError("optimal strategies play from a solve() result; this table has one half")
+    return table.half(Side.COPS), table.half(Side.ROBBER)
+
+
 class OptimalCop(CopStrategy):
     """Table-driven cops: smallest central placement, first optimal reply.
 
@@ -524,7 +530,7 @@ class OptimalCop(CopStrategy):
             raise InputError("no optimal cop strategy: the robber escapes")
         self.result = result
         self.table = table = result.table
-        self._cops_to_move, self._robber_to_move = table.half(Side.COPS), table.half(Side.ROBBER)
+        self._cops_to_move, self._robber_to_move = _both_halves(result)
         # Same lists, so the same move order, as legal_cop_moves.
         self._closed = _closed_lists(table.graph)
 
@@ -565,7 +571,7 @@ class OptimalRobber(RobberStrategy):
     def __init__(self, result: SolveResult):
         self.result = result
         self.table = table = result.table
-        self._cops_to_move, self._robber_to_move = table.half(Side.COPS), table.half(Side.ROBBER)
+        self._cops_to_move, self._robber_to_move = _both_halves(result)
         self._closed = _closed_lists(table.graph)
 
     def place(self, g: Graph, cops: tuple[int, ...]):

@@ -17,11 +17,13 @@ center of the second factor's, and play two phases:
   gap closed mid-round stays closed through the committed descent).
 
 * Endgame: once the distances match at a round boundary, the cops fix
-  their pair orientation and roots and answer every robber move with a
-  five-case response (ascents in either tree run into an immediate
-  capture; otherwise the cops descend so that the matching of
-  distances, the descendant containment of the robber below both cops,
-  and the off-by-one spacing of the pair are all restored).
+  their pair orientation and roots and answer each robber move from the
+  distances after it: if she stands on the far cop's column, that cop
+  steps onto her; if she stands on the cops' row, the near cop does.
+  Otherwise both descend, in the even tree when its distance exceeds the
+  near cop's odd-tree distance and in the odd tree when it does not,
+  which restores the matching of distances, the descendant containment
+  of the robber below both cops, and the off-by-one spacing of the pair.
 
 Orientation (which physical cop plays the near side of the pair) is
 left floating while the cops have not yet moved in the odd tree: until
@@ -30,7 +32,7 @@ robber may still cross from one side to the other, mirroring the
 labels.  The orientation and the odd tree's root are frozen at the
 first odd-tree descent or at endgame entry, whichever comes first.
 
-Every endgame entry and every endgame cop move asserts the full state
+Every endgame entry and every endgame move that does not capture asserts the full state
 invariants; violations raise StrategyInvariantError rather than
 guessing a repair.  Parity normalization may extend one factor by a
 virtual leaf; the strategy computes on the extended tree but an
@@ -253,14 +255,13 @@ class ProductTwoCop(CopStrategy):
         r_start = internal[prev_robber]
         r_now = internal[state.robber]
         cop_a, cop_b = state.cops
-        pairs = [internal[cop_a], internal[cop_b]]
-        (x1, w1), (y1, w2) = pairs
+        (x1, w1), (y1, w2) = internal[cop_a], internal[cop_b]
         if w1 != w2 or dist1[x1][y1] != 1:
             raise StrategyInvariantError(
                 f"cop pair structure broken: T1 coords {x1},{y1}, T2 coords {w1},{w2}"
             )
         u2 = w1
-        r1_start = r_start[0]
+        r1_start, r2_start = r_start
 
         # Orientation at the start of the round.
         if c1_slot is None:
@@ -274,152 +275,95 @@ class ProductTwoCop(CopStrategy):
         u1, v1 = (x1, y1) if c1_slot == 0 else (y1, x1)
         dU = dist1[u1][r1_start]
         dV = dist1[v1][r1_start]
-        d2 = self._dist2[u2][r_start[1]]
+        d2 = self._dist2[u2][r2_start]
         if dV != dU + 1:
             raise StrategyInvariantError(
                 f"pair spacing broken at round start: d(u1,r1)={dU}, d(v1,r1)={dV}"
             )
 
-        if phase == PHASE_EQUALIZE and (d2 == dU or d2 == dV):
-            # Endgame entry happens at a round boundary: the conditions held
-            # with the robber to move, so her latest move gets the five-case
-            # response below.
+        matched = d2 == dU or d2 == dV
+        if phase == PHASE_EQUALIZE and matched:
+            # Endgame entry happens at a round boundary: the distances matched
+            # with the robber to move, so her latest move gets the endgame
+            # reply below.
             phase = PHASE_ENDGAME
             if root1 is None:
                 root1 = v1
             stats["endgame_entries"] += 1
             self._assert_invariants(u1, v1, u2, r_start, self._rooted1(root1), "endgame entry")
 
-        if phase == PHASE_EQUALIZE:
-            new_pairs, c1_slot, root1 = self._equalize_move(
-                pairs, c1_slot, root1, u1, v1, u2, dU, dV, d2, r_now
-            )
-        else:
-            rt1 = self._rooted1(root1)
-            new_pairs = self._endgame_move(c1_slot, u1, v1, u2, r_start, r_now, rt1)
-            if r_now not in new_pairs:
-                nu1 = new_pairs[c1_slot][0]
-                nv1 = new_pairs[1 - c1_slot][0]
-                nu2 = new_pairs[0][1]
-                self._assert_invariants(nu1, nv1, nu2, r_now, rt1, "after endgame move")
-
-        new_cops = (self._flat(new_pairs[0]), self._flat(new_pairs[1]))
-        # tuple.__new__ fills the named tuple in C, with no Python frame.
-        return new_cops, _new_tuple(TwoPhaseMemory, (phase, state.robber, c1_slot, root1))
-
-    # -- phase one -------------------------------------------------------------
-
-    def _equalize_move(self, pairs, c1_slot, root1, u1, v1, u2, dU, dV, d2, r_now):
-        """Committed descent; the tree is chosen from round-start distances."""
-        new_pairs = list(pairs)
-        if d2 < dU:
-            # Close the gap in the odd tree; this is the first odd-tree
-            # descent or a later one, either way orientation freezes here.
-            if root1 is None:
-                root1 = v1
-            t1 = r_now[0]
-            if u1 == t1:
-                raise StrategyInvariantError(
-                    f"odd-tree descent with cop already at robber column {t1}"
-                )
-            nu1 = self._hop1[t1][u1]
-            nv1 = self._hop1[t1][v1]
-            if nv1 != u1:
-                raise StrategyInvariantError(
-                    f"pair did not contract while descending: {v1}->{nv1}, expected {u1}"
-                )
-            new_pairs[c1_slot] = (nu1, pairs[c1_slot][1])
-            new_pairs[1 - c1_slot] = (nv1, pairs[1 - c1_slot][1])
-            return new_pairs, c1_slot, root1
-        if d2 > dV:
-            t2 = r_now[1]
-            if u2 == t2:
-                raise StrategyInvariantError(
-                    f"even-tree descent with cop already at robber row {t2}"
-                )
-            w = self._hop2[t2][u2]
-            new_pairs[0] = (pairs[0][0], w)
-            new_pairs[1] = (pairs[1][0], w)
-            # Orientation may still float: the pair has not moved in the
-            # odd tree, so the robber can legitimately cross sides.
-            return new_pairs, c1_slot if root1 is not None else None, root1
-        raise StrategyInvariantError(
-            f"equalize move requested with gap closed: d2={d2}, dU={dU}, dV={dV}"
-        )
-
-    # -- phase two ---------------------------------------------------------------
-
-    def _endgame_move(self, c1_slot, u1, v1, u2, r_start, r_now, rt1):
-        """The five-case response to the robber's last half-move.
-
-        Returns the new internal pairs by physical slot.  Every descent
-        heads for the robber's current coordinate in its tree.
-        """
-        r1_start, r2_start = r_start
+        # Both phases pick the tree in which both cops step toward the
+        # robber; only the endgame may capture instead.
         r1, r2 = r_now
-        descend = 0  # 1 or 2: the tree both cops step down in
-        if r1 == r1_start and r2 == r2_start:
-            # Robber stayed: descend in the tree whose distance matches.
-            d2 = self._dist2[u2][r2]
-            if d2 == self._dist1[v1][r1]:
-                descend = 2
-            elif d2 == self._dist1[u1][r1]:
-                descend = 1
-            else:
-                raise StrategyInvariantError(
-                    f"stay case with unmatched distances: d2={d2}"
-                )
-        elif r2 == r2_start:
-            # Odd-tree move.
-            if rt1.parent[r1_start] == r1:
-                # Up. From the near cop's column the only ascent lands on
-                # the far cop's column, one even-tree step from its cop.
-                if r1_start == u1:
-                    if r1 != v1:
-                        raise StrategyInvariantError(
-                            f"ascent from {r1_start} missed the far column {v1}"
-                        )
-                    if self._dist2[u2][r2] != 1:
-                        raise StrategyInvariantError(
-                            "capture case (odd-tree ascent) without unit distance"
-                        )
-                    near, far = (u1, u2), (v1, r2)
-                else:
-                    descend = 2
-            else:
-                descend = 1
-        elif r1 == r1_start:
-            # Even-tree move.
-            if self._rooted2.parent[r2_start] == r2:
-                # Up.
-                if r2 == u2:
-                    if self._dist1[u1][r1] != 1:
-                        raise StrategyInvariantError(
-                            "capture case (even-tree ascent) without unit distance"
-                        )
-                    near, far = (self._hop1[r1][u1], u2), (v1, u2)
-                else:
-                    descend = 1
-            else:
-                descend = 2
+        descend = 0  # 1 or 2: the tree both cops step down in; 0 for a capture
+        if phase == PHASE_EQUALIZE:
+            # Committed from the round-start distances: close the gap in the
+            # odd tree if d2 < dU, else (d2 > dV) in the even tree.
+            descend = 1 if d2 < dU else 2
+            if descend == 1 and root1 is None:
+                # The first odd-tree descent freezes orientation and root.
+                root1 = v1
         else:
-            raise StrategyInvariantError(
-                f"robber changed both coordinates: {r_start} -> {r_now}"
-            )
+            if not matched:
+                raise StrategyInvariantError(
+                    f"endgame round started with unmatched distances: d2={d2}, dU={dU}, dV={dV}"
+                )
+            if r1 != r1_start and r2 != r2_start:
+                raise StrategyInvariantError(
+                    f"robber changed both coordinates: {r_start} -> {r_now}"
+                )
+            eU = dist1[u1][r1]
+            e2 = self._dist2[u2][r2]
+            if dist1[v1][r1] == 0:
+                # She climbed onto the far cop's column: it steps onto her.
+                if e2 != 1:
+                    raise StrategyInvariantError(
+                        "capture case (odd-tree ascent) without unit distance"
+                    )
+                near, far = (u1, u2), (v1, r2)
+            elif e2 == 0:
+                # She climbed onto the cops' row: the near cop steps onto her.
+                if eU != 1:
+                    raise StrategyInvariantError(
+                        "capture case (even-tree ascent) without unit distance"
+                    )
+                near, far = (r1, u2), (v1, u2)
+            else:
+                descend = 2 if e2 > eU else 1
 
         if descend == 1:
+            if u1 == r1:
+                raise StrategyInvariantError(
+                    f"odd-tree descent with cop already at robber column {r1}"
+                )
             hop = self._hop1[r1]
             nu1 = hop[u1]
             nv1 = hop[v1]
             if nv1 != u1:
                 raise StrategyInvariantError(
-                    f"endgame odd-tree descent did not contract the pair: {v1}->{nv1}"
+                    f"pair did not contract while descending: {v1}->{nv1}, expected {u1}"
                 )
             near, far = (nu1, u2), (nv1, u2)
         elif descend == 2:
+            if u2 == r2:
+                raise StrategyInvariantError(
+                    f"even-tree descent with cop already at robber row {r2}"
+                )
             w = self._hop2[r2][u2]
             near, far = (u1, w), (v1, w)
-        return [near, far] if c1_slot == 0 else [far, near]
+        if phase == PHASE_ENDGAME and r_now != near and r_now != far:
+            self._assert_invariants(
+                near[0], far[0], near[1], r_now, self._rooted1(root1), "after endgame move"
+            )
+
+        new_pairs = (near, far) if c1_slot == 0 else (far, near)
+        new_cops = (self._flat(new_pairs[0]), self._flat(new_pairs[1]))
+        if root1 is None:
+            # Orientation still floats: the pair has not moved in the odd
+            # tree, so the robber can legitimately cross sides.
+            c1_slot = None
+        # tuple.__new__ fills the named tuple in C, with no Python frame.
+        return new_cops, _new_tuple(TwoPhaseMemory, (phase, state.robber, c1_slot, root1))
 
     # -- invariants -----------------------------------------------------------
 

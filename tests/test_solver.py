@@ -189,6 +189,16 @@ def test_optimal_cop_rejects_escape():
         OptimalCop(solve(cycle_graph(4), 1))
 
 
+@pytest.mark.parametrize("strategy", [OptimalCop, OptimalRobber])
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_optimal_strategies_reject_a_one_half_table(strategy, order):
+    # The naive oracle keeps only the half of the side that moves first;
+    # a reply needs both, so construction refuses it instead of the first
+    # reply failing with a TypeError or an AttributeError.
+    with pytest.raises(InputError, match="solve"):
+        strategy(naive_value_iteration(path_graph(4), 1, order))
+
+
 def test_self_play_matches_capture_time():
     instances = [
         (path_graph(4), 1),

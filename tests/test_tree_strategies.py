@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -304,6 +306,38 @@ def test_best_response_search_is_pinned(make_product, order, value, stats):
     assert strategy.stats == stats
 
 
+# The first 16 hex digits of the sha256 over every ProductTwoCop reply of
+# the exhaustive search, one line per reply in call order: state, memory,
+# reply and new memory.  A change to the strategy's moves changes them.
+_PINNED_REPLIES = [
+    (lambda: cartesian_product(random_tree(12, 5), random_tree(15, 9)),
+     {MoveOrder.ROBBER_FIRST: "7e7d751de77bef28", MoveOrder.COPS_FIRST: "c53746342dc066d3"}),
+    (lambda: cartesian_product(random_tree(17, 5), random_tree(13, 6)),
+     {MoveOrder.ROBBER_FIRST: "ea098cf04dd6a6f6", MoveOrder.COPS_FIRST: "d19cfd7461915750"}),
+    (lambda: cartesian_product(path_graph(6), path_graph(7)),
+     {MoveOrder.ROBBER_FIRST: "d61023c2e7ae33b3", MoveOrder.COPS_FIRST: "c718509a8183f4f3"}),
+]
+
+
+@pytest.mark.parametrize("order", list(MoveOrder))
+@pytest.mark.parametrize("make_product, digests", _PINNED_REPLIES)
+def test_every_reply_of_the_search_is_pinned(make_product, digests, order, monkeypatch):
+    prod = make_product()
+    strategy = ProductTwoCop(prod)
+    respond = strategy.respond
+    digest = hashlib.sha256()
+
+    def recorded(g, state, memory):
+        cops, new_memory = respond(g, state, memory)
+        line = f"{state.cops} {state.robber} {tuple(memory)} -> {cops} {tuple(new_memory)}\n"
+        digest.update(line.encode())
+        return cops, new_memory
+
+    monkeypatch.setattr(strategy, "respond", recorded)
+    best_response_length(prod.flat, GameConfig(cop_count=2, move_order=order), strategy)
+    assert digest.hexdigest()[:16] == digests[order]
+
+
 small_trees = st.builds(
     random_tree,
     st.integers(min_value=2, max_value=10),
@@ -344,24 +378,57 @@ def test_flat_rejects_pairs_on_the_virtual_leaf(t1, t2):
     "t1, t2, robber", [(path_graph(3), path_graph(3), 7), (path_graph(2), path_graph(4), 3)]
 )
 def test_respond_rejects_a_move_onto_the_virtual_leaf(t1, t2, robber, monkeypatch):
-    # The robber starts where the cops stay in the equalize phase; a move
-    # that lands a cop on the virtual leaf raises the strategy's own error.
+    # From this robber start the cops' first move descends in the extended
+    # tree; a next-hop row that leads onto the virtual leaf there makes the
+    # strategy raise its own error.
     strategy = ProductTwoCop(cartesian_product(t1, t2))
     g = strategy.product.flat
     virtual = strategy.parity.virtual_vertex
-    bad = (virtual, 0) if strategy.parity.augmented == 0 else (0, virtual)
     cops, memory = strategy.place(g)
     memory = strategy.observe_placement(g, GameState(cops, robber, 0, Side.ROBBER), memory)
-    calls = []
-
-    def equalize_onto_virtual(pairs, c1_slot, root1, *rest):
-        calls.append(pairs)
-        return [bad, pairs[1]], c1_slot, root1
-
-    monkeypatch.setattr(strategy, "_equalize_move", equalize_onto_virtual)
+    state = GameState(cops, robber, 1, Side.COPS)
+    assert all(0 <= c < g.vertex_count for c in strategy.respond(g, state, memory)[0])
+    (a1, _), (b1, _) = (strategy._internal(c) for c in cops)
+    r1, r2 = strategy._internal(robber)
+    if strategy.parity.augmented == 0:
+        # The near cop steps onto the leaf; the far cop still steps onto
+        # the near cop's column, so the pair contracts.
+        hop1 = list(strategy._hop1)
+        row = hop1[r1] = list(hop1[r1])
+        row[a1 if row[b1] == a1 else b1] = virtual
+        monkeypatch.setattr(strategy, "_hop1", hop1)
+    else:
+        hop2 = list(strategy._hop2)
+        hop2[r2] = [virtual] * len(hop2[r2])
+        monkeypatch.setattr(strategy, "_hop2", hop2)
     with pytest.raises(StrategyInvariantError, match="virtual vertex"):
-        strategy.respond(g, GameState(cops, robber, 1, Side.COPS), memory)
-    assert len(calls) == 1
+        strategy.respond(g, state, memory)
+
+
+def _forged_endgame(robber_start, robber_now):
+    # P4 x P5: the odd tree is P4 (diameter 3), the even tree P5 (4). The
+    # cops stand at (a2, b3) and (a3, b3) in path labels; cop 0 is near.
+    strategy = ProductTwoCop(cartesian_product(path_graph(4), path_graph(5)))
+    a, b = strategy.plan.path1, strategy.plan.path2
+    g = strategy.product.flat
+    cops, _ = strategy.place(g)
+    flat = [strategy._flat((a[i], b[j])) for i, j in (robber_start, robber_now)]
+    memory = TwoPhaseMemory("endgame", flat[0], 0, a[2])
+    return lambda: strategy.respond(g, GameState(cops, flat[1], 1, Side.COPS), memory)
+
+
+def test_endgame_rejects_a_round_that_starts_with_unmatched_distances():
+    # Robber at (a1, b3): d(u1,r1) = 1, d(v1,r1) = 2, but d(u2,r2) = 0.
+    with pytest.raises(StrategyInvariantError, match="unmatched distances"):
+        _forged_endgame((0, 2), (0, 2))()
+
+
+def test_endgame_rejects_a_robber_step_that_changes_both_coordinates():
+    # Robber from (a1, b1), where the distances 1, 2 and 2 match, to (a2, b2).
+    with pytest.raises(StrategyInvariantError, match="both coordinates"):
+        _forged_endgame((0, 0), (1, 1))()
+    # The matched start itself is a legal endgame round.
+    _forged_endgame((0, 0), (0, 0))()
 
 
 def test_two_phase_memory_compares_by_fields():

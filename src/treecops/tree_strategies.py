@@ -32,12 +32,12 @@ robber may still cross from one side to the other, mirroring the
 labels.  The orientation and the odd tree's root are frozen at the
 first odd-tree descent or at endgame entry, whichever comes first.
 
-Every endgame entry and every endgame move that does not capture asserts the full state
-invariants; violations raise StrategyInvariantError rather than
-guessing a repair.  Parity normalization may extend one factor by a
-virtual leaf; the strategy computes on the extended tree but an
-assertion guarantees no cop is ever told to stand on the virtual
-vertex.
+Every endgame entry and every endgame move that does not capture
+asserts the full state invariants; violations raise
+StrategyInvariantError rather than guessing a repair.  Parity
+normalization may extend one factor by a virtual leaf; the strategy
+computes on the extended tree but an assertion guarantees no cop is
+ever told to stand on the virtual vertex.
 """
 from __future__ import annotations
 

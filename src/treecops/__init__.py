@@ -12,11 +12,9 @@ from .graphs import (
     parse_graph,
 )
 from .trees import (
-    RootedTree,
     add_leaf,
     diametral_path,
     is_tree,
-    root_tree,
     step_toward,
 )
 from .products import ProductGraph, cartesian_product

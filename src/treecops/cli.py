@@ -69,14 +69,18 @@ def load_graph_source(source: str) -> Graph:
 
 def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV)
+        if not env:
+            return DEFAULT_STATE_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), BUDGET_ENV
         except ValueError:
             raise InputError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_STATE_BUDGET
+    if budget < 1:
+        raise InputError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _order(args) -> MoveOrder:

@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .engine import CopStrategy, GameState, Graph
 from .graphs import InputError
 from .products import ProductGraph
-from .trees import RootedTree, add_leaf, diametral_path, is_tree, root_tree, tree_rows
+from .trees import add_leaf, diametral_path, is_tree, tree_rows
 
 PHASE_EQUALIZE = "equalize"
 PHASE_ENDGAME = "endgame"
@@ -175,10 +175,11 @@ class ProductTwoCop(CopStrategy):
     Construction precomputes everything a response looks up: distances
     and next hops in both arranged trees, the flat-to-internal
     coordinate table (parity swap applied) and its inverse, which has no
-    entry for pairs on the virtual leaf, and the second tree rooted at
-    its fixed root.  Rootings of the odd tree are cached by root, and
-    `stats` counts responses, endgame entries and invariant checks, so
-    an instance is per-thread state, not a shareable template.
+    entry for pairs on the virtual leaf.  The distance tables are the
+    only view of the trees: the invariant checks read which vertices lie
+    below a root from them too.  `stats` counts responses, endgame
+    entries and invariant checks, so an instance is per-thread state,
+    not a shareable template.
     """
 
     def __init__(self, product: ProductGraph):
@@ -192,7 +193,6 @@ class ProductTwoCop(CopStrategy):
         )
         self.plan = product_initial_placement(self.tree1, self.tree2)
         self.root2 = self.plan.path2[self.plan.n]  # b_{n+1}, fixed for the game
-        self.initial_root1 = self.plan.path1[self.plan.m + 1]
         self._dist1, self._hop1 = zip(*tree_rows(self.tree1))
         self._dist2, self._hop2 = zip(*tree_rows(self.tree2))
         pairs = [product.pair_of(f) for f in range(product.flat.vertex_count)]
@@ -202,14 +202,9 @@ class ProductTwoCop(CopStrategy):
         # has an entry for a pair that touches it.
         self._internal_of: tuple[tuple[int, int], ...] = tuple(pairs)
         self._flat_of: dict[tuple[int, int], int] = {p: f for f, p in enumerate(pairs)}
-        self._rooted2 = root_tree(self.tree2, self.root2)
-        self._rooted1_cache: dict[int, RootedTree] = {}
         self.stats = {"endgame_entries": 0, "invariant_checks": 0, "responses": 0}
 
     # -- coordinate plumbing ------------------------------------------------
-
-    def _internal(self, flat: int) -> tuple[int, int]:
-        return self._internal_of[flat]
 
     def _flat(self, pair: tuple[int, int]) -> int:
         flat = self._flat_of.get(pair)
@@ -219,12 +214,6 @@ class ProductTwoCop(CopStrategy):
             )
         return flat
 
-    def _rooted1(self, root: int) -> RootedTree:
-        rt = self._rooted1_cache.get(root)
-        if rt is None:
-            rt = self._rooted1_cache[root] = root_tree(self.tree1, root)
-        return rt
-
     # -- contract -------------------------------------------------------------
 
     def place(self, g: Graph):
@@ -233,14 +222,6 @@ class ProductTwoCop(CopStrategy):
 
     def observe_placement(self, g: Graph, state: GameState, memory):
         return memory._replace(prev_robber=state.robber)
-
-    def height_potential(self, cops_flat: tuple[int, ...], memory: TwoPhaseMemory) -> int:
-        """h(u1)+h(v1)+h(u2)+h(v2) under the current (or provisional) roots."""
-        root1 = memory.root1 if memory.root1 is not None else self.initial_root1
-        rt1 = self._rooted1(root1)
-        rt2 = self._rooted2
-        pairs = [self._internal(c) for c in cops_flat]
-        return sum(rt1.height[p[0]] for p in pairs) + sum(rt2.height[p[1]] for p in pairs)
 
     def respond(self, g: Graph, state: GameState, memory: TwoPhaseMemory):
         stats = self.stats
@@ -290,7 +271,7 @@ class ProductTwoCop(CopStrategy):
             if root1 is None:
                 root1 = v1
             stats["endgame_entries"] += 1
-            self._assert_invariants(u1, v1, u2, r_start, self._rooted1(root1), "endgame entry")
+            self._assert_invariants(u1, v1, u2, r_start, root1, "endgame entry")
 
         # Both phases pick the tree in which both cops step toward the
         # robber; only the endgame may capture instead.
@@ -353,7 +334,7 @@ class ProductTwoCop(CopStrategy):
             near, far = (u1, w), (v1, w)
         if phase == PHASE_ENDGAME and r_now != near and r_now != far:
             self._assert_invariants(
-                near[0], far[0], near[1], r_now, self._rooted1(root1), "after endgame move"
+                near[0], far[0], near[1], r_now, root1, "after endgame move"
             )
 
         new_pairs = (near, far) if c1_slot == 0 else (far, near)
@@ -367,20 +348,24 @@ class ProductTwoCop(CopStrategy):
 
     # -- invariants -----------------------------------------------------------
 
-    def _assert_invariants(self, u1, v1, u2, r, rt1, where):
+    def _assert_invariants(self, u1, v1, u2, r, root1, where):
         self.stats["invariant_checks"] += 1
-        rt2 = self._rooted2
         r1, r2 = r
-        problems = []
-        if not rt1.is_descendant(u1, r1):
-            problems.append(f"r1={r1} not a descendant of u1={u1}")
-        if not rt1.is_descendant(v1, r1):
-            problems.append(f"r1={r1} not a descendant of v1={v1}")
-        if not rt2.is_descendant(u2, r2):
-            problems.append(f"r2={r2} not a descendant of u2={u2}")
-        dU = self._dist1[u1][r1]
-        dV = self._dist1[v1][r1]
+        dist1 = self._dist1
+        dU = dist1[u1][r1]
+        dV = dist1[v1][r1]
         d2 = self._dist2[u2][r2]
+        # In a tree, a lies on the path from the root to v (v is a
+        # descendant of a) exactly when d(root, a) + d(a, v) = d(root, v).
+        top1 = dist1[root1]
+        top2 = self._dist2[self.root2]
+        problems = []
+        if top1[u1] + dU != top1[r1]:
+            problems.append(f"r1={r1} not a descendant of u1={u1}")
+        if top1[v1] + dV != top1[r1]:
+            problems.append(f"r1={r1} not a descendant of v1={v1}")
+        if top2[u2] + d2 != top2[r2]:
+            problems.append(f"r2={r2} not a descendant of u2={u2}")
         if dV != dU + 1:
             problems.append(f"d(v1,r1)={dV} != 1 + d(u1,r1)={dU}")
         if d2 not in (dU, dV):
@@ -389,5 +374,5 @@ class ProductTwoCop(CopStrategy):
             raise StrategyInvariantError(
                 f"invariants failed {where}: "
                 + "; ".join(problems)
-                + f" [u1={u1} v1={v1} u2={u2} r={r} root1={rt1.root} root2={self.root2}]"
+                + f" [u1={u1} v1={v1} u2={u2} r={r} root1={root1} root2={self.root2}]"
             )

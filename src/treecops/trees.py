@@ -1,79 +1,10 @@
-"""Rooted trees, heights, diametral paths, and tree navigation."""
+"""Tree navigation: diametral paths, next steps, all-pairs distance and
+next-hop rows, and leaf extension."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Graph, GraphError, bfs_distances, bfs_parents, is_tree
-
-
-@dataclass(frozen=True)
-class RootedTree:
-    """A tree with a designated root plus parent/depth/height tables.
-
-    height[v] is the greatest distance from v to a childless descendant
-    (the root's non-leaf neighbors included): 0 exactly when v has no
-    children, and strictly decreasing along every parent-to-child edge.
-
-    entry[v] and exit[v] are pre-order indices: v's subtree holds exactly
-    the vertices w with entry[v] <= entry[w] < exit[v], which makes
-    :meth:`is_descendant` two comparisons.
-    """
-
-    base: Graph
-    root: int
-    parent: tuple[int | None, ...]
-    depth: tuple[int, ...]
-    height: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    entry: tuple[int, ...]
-    exit: tuple[int, ...]
-
-    def is_descendant(self, ancestor: int, v: int) -> bool:
-        """True iff ancestor lies on the root-to-v path (v counts as its own)."""
-        return self.entry[ancestor] <= self.entry[v] < self.exit[ancestor]
-
-
-def root_tree(t: Graph, root: int) -> RootedTree:
-    if not is_tree(t):
-        raise GraphError("root_tree requires a tree")
-    n = t.vertex_count
-    dist, par = bfs_parents(t, root)
-    parent: list[int | None] = [p if p >= 0 else None for p in par]
-    parent[root] = None
-    children: list[list[int]] = [[] for _ in range(n)]
-    order = sorted(range(n), key=lambda v: dist[v])
-    for v in order:
-        if v != root:
-            children[parent[v]].append(v)
-    height = [0] * n
-    for v in reversed(order):
-        if children[v]:
-            height[v] = 1 + max(height[c] for c in children[v])
-    # Pre-order numbering: a vertex's subtree is the contiguous block of
-    # indices that starts at its own entry and has its subtree's size.
-    entry = [0] * n
-    size = [1] * n
-    for v in reversed(order):
-        if v != root:
-            size[parent[v]] += size[v]
-    next_index = 0
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        entry[v] = next_index
-        next_index += 1
-        stack.extend(reversed(children[v]))
-    return RootedTree(
-        base=t,
-        root=root,
-        parent=tuple(parent),
-        depth=tuple(dist),
-        height=tuple(height),
-        children=tuple(tuple(c) for c in children),
-        entry=tuple(entry),
-        exit=tuple(entry[v] + size[v] for v in range(n)),
-    )
 
 
 def _farthest(dist: list[int]) -> int:

@@ -233,6 +233,46 @@ def test_budget_env_not_an_integer_is_input_error(capsys, monkeypatch):
     assert f"error: {BUDGET_ENV} must be an integer" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_non_positive_budget_is_input_error(capsys, budget):
+    rc, _, err = run_cli(capsys, "solve", "--graph", "path:3", "--cops", "1", "--budget", budget)
+    assert rc == EXIT_INPUT
+    assert f"error: --budget must be at least 1, got {budget}" in err
+
+
+def test_non_positive_budget_env_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "-5")
+    rc, _, err = run_cli(capsys, "solve", "--graph", "path:3", "--cops", "1")
+    assert rc == EXIT_INPUT
+    assert f"error: {BUDGET_ENV} must be at least 1, got -5" in err
+
+
+def test_simulate_non_positive_budget_is_input_error(capsys):
+    rc, _, err = run_cli(
+        capsys, "simulate", "--t1", "path:3", "--cops", "optimal", "--robber", "optimal",
+        "--budget", "-1",
+    )
+    assert rc == EXIT_INPUT
+    assert "error: --budget must be at least 1, got -1" in err
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("treecops ")]
+
+
+def test_readme_cli_block_runs_as_written(capsys, monkeypatch, tmp_path):
+    # The block is run top to bottom in one directory, so each file a
+    # line reads must be written by an earlier line.
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 5
+    for line in lines:
+        rc, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert rc == EXIT_OK, f"{line}: {err}"
+
+
 def test_solve_missing_graph(capsys):
     rc, _, err = run_cli(capsys, "solve", "--graph", "missing.g", "--cops", "1")
     assert rc == EXIT_INPUT

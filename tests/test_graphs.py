@@ -14,10 +14,10 @@ from treecops import (
     parse_graph,
     path_graph,
     random_tree,
-    root_tree,
     star_graph,
     step_toward,
 )
+from treecops.graphs import bfs_parents
 from treecops.trees import tree_rows
 
 
@@ -115,38 +115,6 @@ def test_step_toward_same_vertex_rejected():
         step_toward(path_graph(3), 1, 1)
 
 
-def test_root_tree_path_heights():
-    rt = root_tree(path_graph(5), 4)
-    assert rt.height[4] == 4
-    assert rt.height[0] == 0
-    assert rt.depth[0] == 4
-
-
-def test_root_tree_star():
-    rt = root_tree(star_graph(4), 0)
-    assert rt.height[0] == 1
-    assert all(rt.height[v] == 0 for v in (1, 2, 3))
-
-
-def test_root_tree_center_pair_heights():
-    # Path on 2m+2 vertices rooted at the far middle vertex: the middle
-    # pair has heights m and m+1.
-    for m in (1, 2, 3):
-        p = path_graph(2 * m + 2)
-        rt = root_tree(p, m + 1)
-        assert rt.height[m] == m
-        assert rt.height[m + 1] == m + 1
-
-
-def test_is_descendant():
-    rt = root_tree(path_graph(5), 4)
-    assert rt.is_descendant(2, 0)
-    assert not rt.is_descendant(0, 2)
-    for v in range(5):
-        assert rt.is_descendant(v, v)
-        assert rt.is_descendant(4, v)
-
-
 def test_add_leaf():
     g = add_leaf(path_graph(3), 2)
     assert g.vertex_count == 4
@@ -210,17 +178,6 @@ def test_diametral_endpoints_are_leaves(t):
 
 @given(tree_instances, st.data())
 @settings(max_examples=60, deadline=None)
-def test_rooted_heights_strictly_decrease(t, data):
-    root = data.draw(st.integers(min_value=0, max_value=t.vertex_count - 1))
-    rt = root_tree(t, root)
-    for v in range(t.vertex_count):
-        if v != root:
-            assert rt.height[rt.parent[v]] >= rt.height[v] + 1
-        assert (rt.height[v] == 0) == (len(rt.children[v]) == 0)
-
-
-@given(tree_instances, st.data())
-@settings(max_examples=60, deadline=None)
 def test_step_toward_walk_has_exact_length(t, data):
     n = t.vertex_count
     u = data.draw(st.integers(min_value=0, max_value=n - 1))
@@ -244,10 +201,10 @@ def test_center_has_small_eccentricity(t, data):
     assert max(bfs_distances(t, center_start(t))) <= (d + 1) // 2
 
 
-def _walk_is_descendant(rt, ancestor, v):
+def _walk_is_descendant(depth, parent, ancestor, v):
     # Reference: climb from v to the ancestor's depth along parent links.
-    while rt.depth[v] > rt.depth[ancestor]:
-        v = rt.parent[v]
+    while depth[v] > depth[ancestor]:
+        v = parent[v]
     return v == ancestor
 
 
@@ -257,12 +214,16 @@ _NAVIGATION_TREES += [path_graph(7), star_graph(6)]
 
 @pytest.mark.parametrize("t", _NAVIGATION_TREES)
 def test_is_descendant_matches_parent_walk(t):
+    # The identity ProductTwoCop checks containment with: a lies on the
+    # root-to-v path exactly when d(root, a) + d(a, v) = d(root, v).
     n = t.vertex_count
+    dist = [row for row, _ in tree_rows(t)]
     for root in range(n):
-        rt = root_tree(t, root)
-        for ancestor in range(n):
+        depth, parent = bfs_parents(t, root)
+        top = dist[root]
+        for a in range(n):
             for v in range(n):
-                assert rt.is_descendant(ancestor, v) == _walk_is_descendant(rt, ancestor, v)
+                assert (top[a] + dist[a][v] == top[v]) == _walk_is_descendant(depth, parent, a, v)
 
 
 @pytest.mark.parametrize("t", _NAVIGATION_TREES)

@@ -204,6 +204,21 @@ def test_two_cop_never_beaten_by_optimal_robber():
     assert trace.outcome.round <= (diameter(prod.factor1) + diameter(prod.factor2)) // 2
 
 
+def _height_potential(strategy, cops, memory):
+    # h(u1)+h(v1)+h(u2)+h(v2) under the current (or provisional) roots,
+    # where h(x) is the greatest d(x, w) over the w below x, read from the
+    # strategy's distance tables.
+    plan = strategy.plan
+    root1 = memory.root1 if memory.root1 is not None else plan.path1[plan.m + 1]
+    total = 0
+    for coord, dist, root in ((0, strategy._dist1, root1), (1, strategy._dist2, strategy.root2)):
+        top = dist[root]
+        for c in cops:
+            x = strategy._internal_of[c][coord]
+            total += max(d for w, d in enumerate(dist[x]) if top[x] + d == top[w])
+    return total
+
+
 def test_height_potential_drops_two_per_cop_move():
     # Drive rounds by hand and watch the potential after every cop move.
     rng = SplitMix64(77)
@@ -221,14 +236,14 @@ def test_height_potential_drops_two_per_cop_move():
         cmem = strategy.observe_placement(g, state, cmem)
         if state.captured:
             continue
-        potential = strategy.height_potential(state.cops, cmem)
+        potential = _height_potential(strategy, state.cops, cmem)
         for _round in range(4 * g.vertex_count):
             state, rmem, cmem, _rec = advance_round(
                 g, config, state, robber, rmem, strategy, cmem
             )
             if state.captured:
                 break
-            new_potential = strategy.height_potential(state.cops, cmem)
+            new_potential = _height_potential(strategy, state.cops, cmem)
             assert new_potential <= potential - 2
             potential = new_potential
         assert state.captured
@@ -371,7 +386,7 @@ def test_flat_rejects_pairs_on_the_virtual_leaf(t1, t2):
         strategy._flat(pair)
     # Every real pair still maps back to its product vertex.
     for flat in range(strategy.product.flat.vertex_count):
-        assert strategy._flat(strategy._internal(flat)) == flat
+        assert strategy._flat(strategy._internal_of[flat]) == flat
 
 
 @pytest.mark.parametrize(
@@ -388,8 +403,8 @@ def test_respond_rejects_a_move_onto_the_virtual_leaf(t1, t2, robber, monkeypatc
     memory = strategy.observe_placement(g, GameState(cops, robber, 0, Side.ROBBER), memory)
     state = GameState(cops, robber, 1, Side.COPS)
     assert all(0 <= c < g.vertex_count for c in strategy.respond(g, state, memory)[0])
-    (a1, _), (b1, _) = (strategy._internal(c) for c in cops)
-    r1, r2 = strategy._internal(robber)
+    (a1, _), (b1, _) = (strategy._internal_of[c] for c in cops)
+    r1, r2 = strategy._internal_of[robber]
     if strategy.parity.augmented == 0:
         # The near cop steps onto the leaf; the far cop still steps onto
         # the near cop's column, so the pair contracts.
@@ -405,15 +420,16 @@ def test_respond_rejects_a_move_onto_the_virtual_leaf(t1, t2, robber, monkeypatc
         strategy.respond(g, state, memory)
 
 
-def _forged_endgame(robber_start, robber_now):
-    # P4 x P5: the odd tree is P4 (diameter 3), the even tree P5 (4). The
-    # cops stand at (a2, b3) and (a3, b3) in path labels; cop 0 is near.
+def _forged_endgame(robber_start, robber_now, cops=((1, 2), (2, 2)), root1=2):
+    # P4 x P5: the odd tree is P4 (diameter 3), the even tree P5 (4). By
+    # default the cops stand where they are placed, at (a2, b3) and
+    # (a3, b3) in path labels, and the odd tree hangs from a3; cop 0 is near.
     strategy = ProductTwoCop(cartesian_product(path_graph(4), path_graph(5)))
     a, b = strategy.plan.path1, strategy.plan.path2
     g = strategy.product.flat
-    cops, _ = strategy.place(g)
-    flat = [strategy._flat((a[i], b[j])) for i, j in (robber_start, robber_now)]
-    memory = TwoPhaseMemory("endgame", flat[0], 0, a[2])
+    flat = [strategy._flat((a[i], b[j])) for i, j in (robber_start, robber_now, *cops)]
+    cops = tuple(flat[2:])
+    memory = TwoPhaseMemory("endgame", flat[0], 0, a[root1])
     return lambda: strategy.respond(g, GameState(cops, flat[1], 1, Side.COPS), memory)
 
 
@@ -429,6 +445,21 @@ def test_endgame_rejects_a_robber_step_that_changes_both_coordinates():
         _forged_endgame((0, 0), (1, 1))()
     # The matched start itself is a legal endgame round.
     _forged_endgame((0, 0), (0, 0))()
+
+
+def test_endgame_rejects_a_robber_outside_the_near_cops_odd_subtree():
+    # With the odd tree hung from a1, the robber at (a1, b1) is not below
+    # u1 = a2; the distances still match, and the cops descend in T2.
+    with pytest.raises(StrategyInvariantError, match="not a descendant of u1"):
+        _forged_endgame((0, 0), (0, 0), root1=0)()
+
+
+def test_endgame_rejects_a_robber_outside_the_cops_even_subtree():
+    # Cops at (a3, b2) and (a4, b2), robber at (a1, b4): the distances
+    # match and the cops descend in T1, but b4 is not below u2 = b2 when
+    # the even tree hangs from its centre b3.
+    with pytest.raises(StrategyInvariantError, match="not a descendant of u2"):
+        _forged_endgame((0, 3), (0, 3), cops=((2, 1), (3, 1)), root1=3)()
 
 
 def test_two_phase_memory_compares_by_fields():

@@ -26,6 +26,8 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-side", type=int, default=6)
     args = parser.parse_args()
+    if args.max_side < 2:
+        parser.error(f"--max-side must be at least 2, got {args.max_side}")
 
     config = GameConfig(cop_count=2)
     print(f"{'grid':>8} {'solver':>7} {'formula':>8} {'strategy':>9} {'time':>8}")

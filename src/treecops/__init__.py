@@ -59,15 +59,11 @@ from .solver import (
     solve,
 )
 from .tree_strategies import (
-    ParityRecord,
-    PlacementPlan,
     ProductTwoCop,
     StrategyInvariantError,
     TreeChaseCop,
     TwoPhaseMemory,
     center_start,
-    normalize_parity,
-    product_initial_placement,
 )
 
 __version__ = "0.1.0"

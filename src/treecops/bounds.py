@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .engine import is_escape
+from .engine import ESCAPE, CaptureValue, is_escape
 from .graphs import Graph, bfs_distances, diameter
 from .products import ProductGraph
 from .solver import SolveResult, solve
@@ -39,7 +39,14 @@ class Claim:
         return f"CLAIM {self.claim_id} {self.lhs} {self.relation} {self.rhs} {self.status}"
 
 
-def make_claim(claim_id: str, lhs: int, relation: str, rhs: int) -> Claim:
+def make_claim(claim_id: str, lhs: CaptureValue, relation: str, rhs: CaptureValue) -> Claim:
+    """Compare two capture times, writing ESCAPE as -1 on either side.
+
+    -1 lies below every capture time, so a claim that bounds a value
+    from above checks for ESCAPE before it is made.
+    """
+    lhs = -1 if lhs is ESCAPE else lhs
+    rhs = -1 if rhs is ESCAPE else rhs
     ok = _RELATIONS[relation](lhs, rhs)
     return Claim(claim_id, lhs, relation, rhs, PASS if ok else FAIL)
 
@@ -69,10 +76,10 @@ class BoundReport:
 def _escaped(report: BoundReport, claim_id: str) -> BoundReport:
     """Fail a report whose capture time should be finite but is ESCAPE.
 
-    The escape is written -1, as in the suites, so the claim line reads
-    ``-1 >= 0 FAIL``; no other claim is checked without a capture time.
+    The claim line reads ``-1 >= 0 FAIL``; no other claim is checked
+    without a capture time.
     """
-    report.claims.append(make_claim(claim_id, -1, ">=", 0))
+    report.claims.append(make_claim(claim_id, ESCAPE, ">=", 0))
     return report
 
 

@@ -19,7 +19,7 @@ from .bounds import (
     make_claim,
     n_tree_upper_bound,
 )
-from .engine import GameConfig, MoveOrder, best_response_length, is_escape
+from .engine import GameConfig, MoveOrder, best_response_length
 from .generators import (
     SplitMix64,
     all_labeled_trees,
@@ -106,8 +106,7 @@ def suite_thm1(max_size: int = 7, count: int = 50, seed: int = 42) -> SuiteResul
         want = (diameter(tree) + 1) // 2
         got = best_response_length(tree, config, TreeChaseCop(tree))
         report = BoundReport(instance=f"thm1-strategy[{i}] n={n}")
-        value = -1 if is_escape(got) else got
-        report.claims.append(make_claim("thm1-strategy", value, "==", want))
+        report.claims.append(make_claim("thm1-strategy", got, "==", want))
         result.reports.append(report)
     return result
 
@@ -152,15 +151,12 @@ def suite_corollary_grid(max_mn: int = 5) -> SuiteResult:
     for m in range(2, max_mn + 1):
         for n in range(2, max_mn + 1):
             want = (m + n) // 2 - 1
-            rf, cf = capture_time_both_orders(grid_graph(m, n), 2)
+            grid = grid_graph(m, n)
+            rf, cf = capture_time_both_orders(grid, 2)
             report = BoundReport(instance=f"grid[{m}x{n}]")
-            report.claims.append(
-                make_claim("grid-robber-first", -1 if is_escape(rf) else rf, "==", want)
-            )
-            report.claims.append(
-                make_claim("grid-cops-first", -1 if is_escape(cf) else cf, "==", want)
-            )
-            _record_solve(report, grid_graph(m, n), 2, _BOTH_ORDERS)
+            report.claims.append(make_claim("grid-robber-first", rf, "==", want))
+            report.claims.append(make_claim("grid-cops-first", cf, "==", want))
+            _record_solve(report, grid, 2, _BOTH_ORDERS)
             result.reports.append(report)
     return result
 
@@ -199,8 +195,7 @@ def suite_constructive(seed: int = 42, count: int = 50, max_size: int = 7,
         strategy = ProductTwoCop(product)
         got = best_response_length(product.flat, config, strategy)
         report = BoundReport(instance=f"{desc} constructive")
-        value = -1 if is_escape(got) else got
-        report.claims.append(make_claim("constructive-capture", value, "==", want))
+        report.claims.append(make_claim("constructive-capture", got, "==", want))
         report.provenance["strategy_stats"] = dict(strategy.stats)
         report.provenance["graph"] = product.flat
         report.provenance["product"] = product
@@ -231,9 +226,7 @@ def suite_move_order(seed: int = 42, count: int = 50) -> SuiteResult:
     for g, k, desc in instances[:count]:
         rf, cf = capture_time_both_orders(g, k)
         report = BoundReport(instance=f"{desc} k={k}")
-        lhs = -1 if is_escape(rf) else rf
-        rhs = -1 if is_escape(cf) else cf
-        report.claims.append(make_claim("move-order-agreement", lhs, "==", rhs))
+        report.claims.append(make_claim("move-order-agreement", rf, "==", cf))
         _record_solve(report, g, k, _BOTH_ORDERS)
         result.reports.append(report)
     return result

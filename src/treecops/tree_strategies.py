@@ -4,10 +4,12 @@ One cop on a tree: start at the diametral-path center and walk toward
 the robber every round; this captures within ceil(diam/2).
 
 Two cops on a product of two trees capture within floor((d1+d2)/2)
-rounds.  After parity normalization the factors are an odd-diameter
-tree (diam 2m+1) and an even-diameter tree (diam 2n).  The cops start
-on the middle edge of the first factor's diametral path, both at the
-center of the second factor's, and play two phases:
+rounds.  ProductTwoCop's constructor arranges the factors once, from one
+diametral path of each: an odd-diameter tree (diam 2m+1) first and an
+even-diameter tree (diam 2n) second, swapping them if needed and adding
+a leaf at one end of a path when both diameters have the same parity.
+The cops start on the middle edge of the first tree's diametral path,
+both at the center of the second tree's, and play two phases:
 
 * Equalize: while the robber's distance in the even tree differs from
   both of her distances to the cop pair in the odd tree, the cops
@@ -34,14 +36,13 @@ first odd-tree descent or at endgame entry, whichever comes first.
 
 Every endgame entry and every endgame move that does not capture
 asserts the full state invariants; violations raise
-StrategyInvariantError rather than guessing a repair.  Parity
-normalization may extend one factor by a virtual leaf; the strategy
-computes on the extended tree but an assertion guarantees no cop is
-ever told to stand on the virtual vertex.
+StrategyInvariantError rather than guessing a repair.  The arrangement
+may extend one factor by a virtual leaf; the strategy computes on the
+extended tree but an assertion guarantees no cop is ever told to stand
+on the virtual vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import CopStrategy, GameState, Graph
@@ -94,68 +95,6 @@ class TreeChaseCop(CopStrategy):
         return (self._hop[state.robber][cop],), memory
 
 
-@dataclass(frozen=True)
-class ParityRecord:
-    """How the factors were arranged: swap and optional virtual leaf."""
-
-    swapped: bool
-    augmented: int | None  # 0/1: which arranged tree carries the leaf
-    virtual_vertex: int | None
-
-
-def normalize_parity(t1: Graph, t2: Graph) -> tuple[Graph, Graph, ParityRecord]:
-    """Arrange (odd-diameter, even-diameter) factors, adding a leaf if needed.
-
-    Appending a leaf to a diametral endpoint raises the diameter by
-    exactly one and cannot lower the product's capture time, so the
-    capture bound computed on the extended tree is still valid.
-    """
-    d1 = len(diametral_path(t1)) - 1
-    d2 = len(diametral_path(t2)) - 1
-    if d1 % 2 == 1 and d2 % 2 == 0:
-        return t1, t2, ParityRecord(False, None, None)
-    if d1 % 2 == 0 and d2 % 2 == 1:
-        return t2, t1, ParityRecord(True, None, None)
-    if d1 % 2 == 0:  # both even: first factor gains the leaf
-        a1 = add_leaf(t1, diametral_path(t1)[-1])
-        return a1, t2, ParityRecord(False, 0, a1.vertex_count - 1)
-    a2 = add_leaf(t2, diametral_path(t2)[-1])  # both odd: second factor gains the leaf
-    return t1, a2, ParityRecord(False, 1, a2.vertex_count - 1)
-
-
-@dataclass(frozen=True)
-class PlacementPlan:
-    m: int
-    n: int
-    path1: tuple[int, ...]
-    path2: tuple[int, ...]
-    cop1: tuple[int, int]
-    cop2: tuple[int, int]
-
-
-def product_initial_placement(a1: Graph, a2: Graph) -> PlacementPlan:
-    """Starting squares on the middle edge / center of the diametral paths.
-
-    a1 must have odd diameter 2m+1 and a2 even diameter 2n; the cops
-    start at (a_{m+1}, b_{n+1}) and (a_{m+2}, b_{n+1}) in 1-based path
-    labels.
-    """
-    path1 = diametral_path(a1)
-    path2 = diametral_path(a2)
-    d1, d2 = len(path1) - 1, len(path2) - 1
-    if d1 % 2 != 1 or d2 % 2 != 0:
-        raise InputError(f"need diameters (odd, even), got ({d1}, {d2})")
-    m, n = (d1 - 1) // 2, d2 // 2
-    return PlacementPlan(
-        m=m,
-        n=n,
-        path1=tuple(path1),
-        path2=tuple(path2),
-        cop1=(path1[m], path2[n]),
-        cop2=(path1[m + 1], path2[n]),
-    )
-
-
 class TwoPhaseMemory(NamedTuple):
     """Per-game state of the two-cop strategy.
 
@@ -172,14 +111,14 @@ class TwoPhaseMemory(NamedTuple):
 class ProductTwoCop(CopStrategy):
     """Two-phase two-cop strategy on the product of two trees.
 
-    Construction precomputes everything a response looks up: distances
-    and next hops in both arranged trees, the flat-to-internal
-    coordinate table (parity swap applied) and its inverse, which has no
-    entry for pairs on the virtual leaf.  The distance tables are the
-    only view of the trees: the invariant checks read which vertices lie
-    below a root from them too.  `stats` counts responses, endgame
-    entries and invariant checks, so an instance is per-thread state,
-    not a shareable template.
+    Construction arranges the factors (see the module docstring) and
+    precomputes everything a response looks up: distances and next hops
+    in both arranged trees, the flat-to-internal coordinate table (factor
+    swap applied) and its inverse, which has no entry for pairs on the
+    virtual leaf.  The distance tables are the only view of the trees:
+    the invariant checks read which vertices lie below a root from them
+    too.  `stats` counts responses, endgame entries and invariant checks,
+    so an instance is per-thread state, not a shareable template.
     """
 
     def __init__(self, product: ProductGraph):
@@ -188,15 +127,30 @@ class ProductTwoCop(CopStrategy):
         if product.factor1.vertex_count < 2 or product.factor2.vertex_count < 2:
             raise InputError("factors must have diameter > 0")
         self.product = product
-        self.tree1, self.tree2, self.parity = normalize_parity(
-            product.factor1, product.factor2
-        )
-        self.plan = product_initial_placement(self.tree1, self.tree2)
-        self.root2 = self.plan.path2[self.plan.n]  # b_{n+1}, fixed for the game
+        # One diametral path per factor fixes the arrangement: an
+        # odd-diameter tree first (diam 2m+1, a path of even length) and an
+        # even-diameter tree second (diam 2n).
+        tree1, tree2 = product.factor1, product.factor2
+        path1, path2 = diametral_path(tree1), diametral_path(tree2)
+        swapped = len(path1) % 2 == 1 and len(path2) % 2 == 0
+        if swapped:
+            tree1, tree2, path1, path2 = tree2, tree1, path2, path1
+        # Appending a leaf to a diametral endpoint raises the diameter by
+        # exactly one and cannot lower the product's capture time, so the
+        # capture bound computed on the extended tree is still valid.
+        if len(path1) % 2 == 1:  # both even: the first tree gains the leaf
+            tree1 = add_leaf(tree1, path1[-1])
+            path1 = diametral_path(tree1)
+        elif len(path2) % 2 == 0:  # both odd: the second tree gains the leaf
+            tree2 = add_leaf(tree2, path2[-1])
+            path2 = diametral_path(tree2)
+        self.tree1, self.tree2, self.path1, self.path2 = tree1, tree2, path1, path2
+        self.m, self.n = (len(path1) - 2) // 2, (len(path2) - 1) // 2
+        self.root2 = path2[self.n]  # b_{n+1}, fixed for the game
         self._dist1, self._hop1 = zip(*tree_rows(self.tree1))
         self._dist2, self._hop2 = zip(*tree_rows(self.tree2))
         pairs = [product.pair_of(f) for f in range(product.flat.vertex_count)]
-        if self.parity.swapped:
+        if swapped:
             pairs = [(x2, x1) for x1, x2 in pairs]
         # Product vertices never involve the virtual leaf, so neither table
         # has an entry for a pair that touches it.
@@ -217,7 +171,10 @@ class ProductTwoCop(CopStrategy):
     # -- contract -------------------------------------------------------------
 
     def place(self, g: Graph):
-        cops = (self._flat(self.plan.cop1), self._flat(self.plan.cop2))
+        # (a_{m+1}, b_{n+1}) and (a_{m+2}, b_{n+1}) in 1-based path labels:
+        # the middle edge of the first path, the centre of the second.
+        a, b, m = self.path1, self.path2[self.n], self.m
+        cops = (self._flat((a[m], b)), self._flat((a[m + 1], b)))
         return cops, TwoPhaseMemory(PHASE_EQUALIZE, None, None, None)
 
     def observe_placement(self, g: Graph, state: GameState, memory):

@@ -493,6 +493,23 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert out.startswith("capt=2\n")
 
 
+@pytest.mark.parametrize("max_side, rc, rows", [("1", 2, None), ("-3", 2, None), ("2", 0, 1)])
+def test_grid_capture_table_needs_a_side_of_two(max_side, rc, rows):
+    # A table with no row checked nothing, so it must not report agreement.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "grid_capture_table.py"), "--max-side", max_side],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == rc
+    if rows is None:
+        assert "all rows agree" not in proc.stdout
+        assert "--max-side" in proc.stderr
+    else:
+        assert proc.stdout.splitlines()[-1] == "all rows agree"
+        assert len(proc.stdout.splitlines()) == 1 + rows + 1
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "theorem2", "--count", "0"),
     ("verify", "--suite", "corollary-grid", "--max", "1"),
@@ -581,6 +598,20 @@ def test_verify_escape_in_one_order_replays_both(capsys, tmp_path, monkeypatch, 
     assert f"CLAIM {claim} FAIL" in out
     failure_dir = tmp_path / "f" / argv[1]
     assert_solve_replays(capsys, monkeypatch, failure_dir, ["robber-first", "cops-first"])
+
+
+@pytest.mark.parametrize("argv, claim", [
+    (("--suite", "thm1", "--max-size", "3", "--count", "2"), "thm1-strategy"),
+    (("--suite", "constructive", "--count", "2", "--max", "2"), "constructive-capture"),
+])
+def test_verify_strategy_escape_is_written_minus_one(capsys, tmp_path, monkeypatch, argv, claim):
+    # A strategy that the best robber escapes fails its claim, read as -1.
+    import treecops.suites as suites
+
+    monkeypatch.setattr(suites, "best_response_length", lambda *args: treecops.ESCAPE)
+    rc, out, err = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "f"))
+    assert rc == EXIT_VERIFY_FAIL
+    assert re.search(rf"^CLAIM {claim} -1 == \d+ FAIL  # ", out, re.M)
 
 
 def assert_solve_replays(capsys, monkeypatch, failure_dir, orders):

@@ -15,11 +15,9 @@ from treecops import (
     center_start,
     diameter,
     is_escape,
-    normalize_parity,
     TreeChaseCop,
     OptimalRobber,
     path_graph,
-    product_initial_placement,
     random_tree,
     simulate,
     solve,
@@ -61,58 +59,49 @@ def test_one_cop_matches_solver_on_random_tree():
     assert got == want == (diameter(t) + 1) // 2
 
 
-def test_normalize_parity_mixed_unchanged():
-    t1, t2 = path_graph(4), path_graph(3)  # diameters 3, 2
-    a1, a2, rec = normalize_parity(t1, t2)
-    assert a1 is t1 and a2 is t2
-    assert not rec.swapped and rec.augmented is None
+# Diameters (3, 2) kept as is, (2, 3) swapped, (2, 4) with the first
+# tree extended and (1, 3) with the second extended by a leaf.
+ARRANGEMENTS = [
+    (path_graph(4), path_graph(3), ("t1", "t2")),
+    (path_graph(3), path_graph(4), ("t2", "t1")),
+    (path_graph(3), path_graph(5), ("t1+leaf", "t2")),
+    (path_graph(2), path_graph(4), ("t1", "t2+leaf")),
+]
+ARRANGEMENT_IDS = ["kept", "swapped", "first-extended", "second-extended"]
 
 
-def test_normalize_parity_swaps():
-    t1, t2 = path_graph(3), path_graph(4)  # diameters 2, 3
-    a1, a2, rec = normalize_parity(t1, t2)
-    assert a1 is t2 and a2 is t1
-    assert rec.swapped
+@pytest.mark.parametrize("t1, t2, arranged", ARRANGEMENTS, ids=ARRANGEMENT_IDS)
+def test_two_cop_arranges_odd_then_even_diameter(t1, t2, arranged):
+    strategy = ProductTwoCop(cartesian_product(t1, t2))
+    inputs = {"t1": t1, "t2": t2}
+    for tree, name in zip((strategy.tree1, strategy.tree2), arranged):
+        source = inputs[name.removesuffix("+leaf")]
+        if name.endswith("+leaf"):
+            assert tree.vertex_count == source.vertex_count + 1
+            assert diameter(tree) == diameter(source) + 1
+        else:
+            assert tree is source
+    d1, d2 = diameter(strategy.tree1), diameter(strategy.tree2)
+    assert d1 % 2 == 1 and d2 % 2 == 0
+    a, b, m, n = strategy.path1, strategy.path2, strategy.m, strategy.n
+    assert (len(a), len(b)) == (d1 + 1, d2 + 1) == (2 * m + 2, 2 * n + 1)
+    cops, _ = strategy.place(strategy.product.flat)
+    assert [strategy._internal_of[c] for c in cops] == [(a[m], b[n]), (a[m + 1], b[n])]
+    # The bound is unchanged by the extension.
+    assert (d1 + d2) // 2 == (diameter(t1) + diameter(t2)) // 2
 
 
-def test_normalize_parity_even_even_augments_first():
-    t1, t2 = path_graph(3), path_graph(5)  # diameters 2, 4
-    a1, a2, rec = normalize_parity(t1, t2)
-    assert rec.augmented == 0
-    assert a1.vertex_count == 4 and diameter(a1) == 3
-    assert a2 is t2
-    assert rec.virtual_vertex == 3
-    # The bound is unchanged by the extension: floor((3+4)/2) == floor((2+4)/2).
-    assert (diameter(a1) + diameter(a2)) // 2 == (2 + 4) // 2
+@pytest.mark.parametrize("t1, t2, arranged", ARRANGEMENTS, ids=ARRANGEMENT_IDS)
+def test_two_cop_takes_one_diametral_path_per_tree(t1, t2, arranged, monkeypatch):
+    # One per factor, and one more for the tree that gains a leaf.
+    import treecops.tree_strategies as tree_strategies
 
-
-def test_normalize_parity_odd_odd_augments_second():
-    t1, t2 = path_graph(2), path_graph(4)  # diameters 1, 3
-    a1, a2, rec = normalize_parity(t1, t2)
-    assert rec.augmented == 1
-    assert a1 is t1
-    assert diameter(a2) == 4
-    assert (diameter(a1) + diameter(a2)) // 2 == (1 + 3) // 2
-
-
-def test_initial_placement_p4_p3():
-    plan = product_initial_placement(path_graph(4), path_graph(3))
-    assert plan.m == 1 and plan.n == 1
-    a, b = plan.path1, plan.path2
-    assert plan.cop1 == (a[1], b[1])
-    assert plan.cop2 == (a[2], b[1])
-
-
-def test_initial_placement_p2_p3():
-    plan = product_initial_placement(path_graph(2), path_graph(3))
-    assert plan.m == 0 and plan.n == 1
-    assert plan.cop1 == (plan.path1[0], plan.path2[1])
-    assert plan.cop2 == (plan.path1[1], plan.path2[1])
-
-
-def test_initial_placement_rejects_wrong_parity():
-    with pytest.raises(InputError):
-        product_initial_placement(path_graph(3), path_graph(3))
+    calls = []
+    original = tree_strategies.diametral_path
+    monkeypatch.setattr(tree_strategies, "diametral_path",
+                        lambda t: calls.append(t) or original(t))
+    ProductTwoCop(cartesian_product(t1, t2))
+    assert len(calls) == 2 + any(name.endswith("+leaf") for name in arranged)
 
 
 def test_two_cop_placement_avoids_virtual_vertices():
@@ -208,8 +197,7 @@ def _height_potential(strategy, cops, memory):
     # h(u1)+h(v1)+h(u2)+h(v2) under the current (or provisional) roots,
     # where h(x) is the greatest d(x, w) over the w below x, read from the
     # strategy's distance tables.
-    plan = strategy.plan
-    root1 = memory.root1 if memory.root1 is not None else plan.path1[plan.m + 1]
+    root1 = memory.root1 if memory.root1 is not None else strategy.path1[strategy.m + 1]
     total = 0
     for coord, dist, root in ((0, strategy._dist1, root1), (1, strategy._dist2, strategy.root2)):
         top = dist[root]
@@ -375,13 +363,21 @@ def test_tree_chase_best_response_is_pinned():
     assert best_response_length(t, GameConfig(cop_count=1), TreeChaseCop(t)) == 23
 
 
-@pytest.mark.parametrize("t1, t2", [(path_graph(3), path_graph(3)), (path_graph(2), path_graph(4))])
-def test_flat_rejects_pairs_on_the_virtual_leaf(t1, t2):
+def _virtual_leaf(strategy, t1, t2, extended):
+    # The leaf takes the next free id of the extended tree (axis 0 or 1).
+    tree = (strategy.tree1, strategy.tree2)[extended]
+    assert tree.vertex_count == (t1, t2)[extended].vertex_count + 1
+    return tree.vertex_count - 1
+
+
+@pytest.mark.parametrize("t1, t2, extended", [(path_graph(3), path_graph(3), 0),
+                                              (path_graph(2), path_graph(4), 1)],
+                         ids=["t10-t20", "t11-t21"])
+def test_flat_rejects_pairs_on_the_virtual_leaf(t1, t2, extended):
     # Both diameters even (first factor extended) or both odd (second).
     strategy = ProductTwoCop(cartesian_product(t1, t2))
-    virtual = strategy.parity.virtual_vertex
-    assert virtual is not None
-    pair = (virtual, 0) if strategy.parity.augmented == 0 else (0, virtual)
+    virtual = _virtual_leaf(strategy, t1, t2, extended)
+    pair = (virtual, 0) if extended == 0 else (0, virtual)
     with pytest.raises(StrategyInvariantError, match="virtual vertex"):
         strategy._flat(pair)
     # Every real pair still maps back to its product vertex.
@@ -390,22 +386,24 @@ def test_flat_rejects_pairs_on_the_virtual_leaf(t1, t2):
 
 
 @pytest.mark.parametrize(
-    "t1, t2, robber", [(path_graph(3), path_graph(3), 7), (path_graph(2), path_graph(4), 3)]
+    "t1, t2, extended, robber",
+    [(path_graph(3), path_graph(3), 0, 7), (path_graph(2), path_graph(4), 1, 3)],
+    ids=["t10-t20-7", "t11-t21-3"],
 )
-def test_respond_rejects_a_move_onto_the_virtual_leaf(t1, t2, robber, monkeypatch):
+def test_respond_rejects_a_move_onto_the_virtual_leaf(t1, t2, extended, robber, monkeypatch):
     # From this robber start the cops' first move descends in the extended
     # tree; a next-hop row that leads onto the virtual leaf there makes the
     # strategy raise its own error.
     strategy = ProductTwoCop(cartesian_product(t1, t2))
     g = strategy.product.flat
-    virtual = strategy.parity.virtual_vertex
+    virtual = _virtual_leaf(strategy, t1, t2, extended)
     cops, memory = strategy.place(g)
     memory = strategy.observe_placement(g, GameState(cops, robber, 0, Side.ROBBER), memory)
     state = GameState(cops, robber, 1, Side.COPS)
     assert all(0 <= c < g.vertex_count for c in strategy.respond(g, state, memory)[0])
     (a1, _), (b1, _) = (strategy._internal_of[c] for c in cops)
     r1, r2 = strategy._internal_of[robber]
-    if strategy.parity.augmented == 0:
+    if extended == 0:
         # The near cop steps onto the leaf; the far cop still steps onto
         # the near cop's column, so the pair contracts.
         hop1 = list(strategy._hop1)
@@ -425,7 +423,7 @@ def _forged_endgame(robber_start, robber_now, cops=((1, 2), (2, 2)), root1=2):
     # default the cops stand where they are placed, at (a2, b3) and
     # (a3, b3) in path labels, and the odd tree hangs from a3; cop 0 is near.
     strategy = ProductTwoCop(cartesian_product(path_graph(4), path_graph(5)))
-    a, b = strategy.plan.path1, strategy.plan.path2
+    a, b = strategy.path1, strategy.path2
     g = strategy.product.flat
     flat = [strategy._flat((a[i], b[j])) for i, j in (robber_start, robber_now, *cops)]
     cops = tuple(flat[2:])

@@ -104,6 +104,20 @@ def test_two_cop_takes_one_diametral_path_per_tree(t1, t2, arranged, monkeypatch
     assert len(calls) == 2 + any(name.endswith("+leaf") for name in arranged)
 
 
+def test_normalize_parity_mixed_unchanged():
+    t1, t2 = path_graph(4), path_graph(3)  # diameters 3, 2
+    strategy = ProductTwoCop(cartesian_product(t1, t2))
+    assert strategy.tree1 is t1 and strategy.tree2 is t2
+
+
+def test_initial_placement_p4_p3():
+    strategy = ProductTwoCop(cartesian_product(path_graph(4), path_graph(3)))
+    assert strategy.m == 1 and strategy.n == 1
+    a, b = strategy.path1, strategy.path2
+    cops, _ = strategy.place(strategy.product.flat)
+    assert [strategy._internal_of[c] for c in cops] == [(a[1], b[1]), (a[2], b[1])]
+
+
 def test_two_cop_placement_avoids_virtual_vertices():
     # Both factors even diameter: the first gets a virtual leaf, but the
     # placed cops must stand on real product vertices.

@@ -43,24 +43,19 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-_SPEC_PATTERNS = {
-    "path": re.compile(r"^path:(\d+)$"),
-    "grid": re.compile(r"^grid:(\d+)x(\d+)$"),
-    "tree": re.compile(r"^tree:(\d+):(\d+)$"),
-}
+_SPECS = (
+    (re.compile(r"^path:(\d+)$"), path_graph),
+    (re.compile(r"^grid:(\d+)x(\d+)$"), grid_graph),
+    (re.compile(r"^tree:(\d+):(\d+)$"), random_tree),
+)
 
 
 def load_graph_source(source: str) -> Graph:
     """A file path, or an inline spec path:N | grid:MxN | tree:N:SEED."""
-    m = _SPEC_PATTERNS["path"].match(source)
-    if m:
-        return path_graph(int(m.group(1)))
-    m = _SPEC_PATTERNS["grid"].match(source)
-    if m:
-        return grid_graph(int(m.group(1)), int(m.group(2)))
-    m = _SPEC_PATTERNS["tree"].match(source)
-    if m:
-        return random_tree(int(m.group(1)), int(m.group(2)))
+    for pattern, generate in _SPECS:
+        m = pattern.match(source)
+        if m:
+            return generate(*map(int, m.groups()))
     path = Path(source)
     if not path.exists():
         raise GraphError(f"graph source {source!r}: no such file and not a generator spec")
@@ -193,23 +188,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_GEN_NEEDS = {"path": ("n",), "grid": ("m", "n"), "random-tree": ("n",), "product": ("a", "b")}
-
-
 def cmd_gen(args) -> int:
-    missing = [f"--{name}" for name in _GEN_NEEDS.get(args.kind, ()) if getattr(args, name) in (None, "")]
-    if missing:
-        raise GraphError(f"gen --kind {args.kind} needs {' and '.join(missing)}")
-    if args.kind == "path":
-        g = path_graph(args.n)
-    elif args.kind == "grid":
-        g = grid_graph(args.m, args.n)
-    elif args.kind == "random-tree":
-        g = random_tree(args.n, args.seed)
-    elif args.kind == "product":
-        g = cartesian_product(load_graph_source(args.a), load_graph_source(args.b)).flat
-    else:
-        raise GraphError(f"unknown kind {args.kind!r}")
+    g = load_graph_source(args.t1)
+    if args.t2:
+        g = cartesian_product(g, load_graph_source(args.t2)).flat
     text = format_graph(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -257,13 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("gen", help="write a graph file")
-    p.add_argument("--kind", required=True, choices=["path", "grid", "random-tree", "product"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--a", default=None)
-    p.add_argument("--b", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--t1", required=True, help="graph (or first factor) file or spec")
+    p.add_argument("--t2", default=None, help="second factor: write the product")
+    p.add_argument("--out", default=None, help="graph file (default: stdout)")
     p.set_defaults(fn=cmd_gen)
 
     return parser

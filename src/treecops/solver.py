@@ -193,8 +193,8 @@ def dump_value_table(table: ValueTable) -> str:
     lines = []
     for (cops, r), v in sorted(table.value.items()):
         tag = "ESC" if is_escape(v) else str(v)
-        lines.append(" ".join(str(c) for c in cops) + f" {r} {tag}")
-    return "\n".join(lines) + "\n"
+        lines.append(" ".join(str(c) for c in cops) + f" {r} {tag}\n")
+    return "".join(lines)
 
 
 def _closed_lists(g: Graph) -> list[tuple[int, ...]]:

@@ -36,15 +36,15 @@ PRODUCT_PLACEMENT = re.compile(r"^P \(\d+,\d+\) \(\d+,\d+\) \(\d+,\d+\)$")
 
 def test_gen_grid(tmp_path, capsys):
     out = tmp_path / "g.g"
-    rc, _, _ = run_cli(capsys, "gen", "--kind", "grid", "--m", "3", "--n", "3", "--out", str(out))
+    rc, _, _ = run_cli(capsys, "gen", "--t1", "grid:3x3", "--out", str(out))
     assert rc == EXIT_OK
     g = parse_graph(out.read_text())
     assert g.vertex_count == 9 and g.edge_count == 12
 
 
 def test_gen_random_tree_deterministic(capsys):
-    rc1, out1, _ = run_cli(capsys, "gen", "--kind", "random-tree", "--n", "7", "--seed", "5")
-    rc2, out2, _ = run_cli(capsys, "gen", "--kind", "random-tree", "--n", "7", "--seed", "5")
+    rc1, out1, _ = run_cli(capsys, "gen", "--t1", "tree:7:5")
+    rc2, out2, _ = run_cli(capsys, "gen", "--t1", "tree:7:5")
     assert rc1 == rc2 == EXIT_OK
     assert out1 == out2
     g = parse_graph(out1)
@@ -54,32 +54,49 @@ def test_gen_random_tree_deterministic(capsys):
 def test_gen_product(tmp_path, capsys):
     a = tmp_path / "a.g"
     b = tmp_path / "b.g"
-    run_cli(capsys, "gen", "--kind", "path", "--n", "4", "--out", str(a))
-    run_cli(capsys, "gen", "--kind", "path", "--n", "3", "--out", str(b))
-    rc, out, _ = run_cli(capsys, "gen", "--kind", "product", "--a", str(a), "--b", str(b))
+    run_cli(capsys, "gen", "--t1", "path:4", "--out", str(a))
+    run_cli(capsys, "gen", "--t1", "path:3", "--out", str(b))
+    rc, out, _ = run_cli(capsys, "gen", "--t1", str(a), "--t2", str(b))
     assert rc == EXIT_OK
     assert parse_graph(out).vertex_count == 12
 
 
 @pytest.mark.parametrize(
-    "argv, missing",
+    "argv, message",
     [
-        (["--kind", "path"], "--n"),
-        (["--kind", "grid", "--m", "3"], "--n"),
-        (["--kind", "random-tree", "--seed", "5"], "--n"),
+        ([], "the following arguments are required: --t1"),
+        # argparse names a missing required option before any leftovers.
+        (["--t1", "path:3", "--kind", "path", "--n", "3"], "unrecognized arguments: --kind path --n 3"),
     ],
-    ids=["path", "grid", "random-tree"],
+    ids=["no-t1", "old-flags"],
 )
-def test_gen_missing_size_is_input_error(capsys, argv, missing):
+def test_gen_argument_errors_are_input_errors(capsys, argv, message):
     rc, out, err = run_cli(capsys, "gen", *argv)
     assert rc == EXIT_INPUT
     assert out == ""
-    assert f"needs {missing}" in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["--t1", "grid:3x4"], "92eb3be708cc4b6e"),
+        (["--t1", "path:5"], "750640d6ef4dfdea"),
+        (["--t1", "tree:9:7"], "29fdaa156a46de5b"),
+        (["--t1", "path:4", "--t2", "tree:5:3"], "3d4e2c3c9244fd9e"),
+    ],
+    ids=["grid", "path", "tree", "product"],
+)
+def test_gen_stdout_is_pinned(capsys, argv, prefix):
+    # Digests of the files the earlier `gen --kind ...` form wrote.
+    rc, out, _ = run_cli(capsys, "gen", *argv)
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
 
 
 def test_solve_grid(tmp_path, capsys):
     gfile = tmp_path / "grid.g"
-    run_cli(capsys, "gen", "--kind", "grid", "--m", "3", "--n", "3", "--out", str(gfile))
+    run_cli(capsys, "gen", "--t1", "grid:3x3", "--out", str(gfile))
     rc, out, err = run_cli(capsys, "solve", "--graph", str(gfile), "--cops", "2")
     assert rc == EXIT_OK
     assert "capt=2" in out
@@ -110,6 +127,16 @@ def test_solve_dump_table(tmp_path, capsys):
     assert lines and all(len(line.split()) == 3 for line in lines)
 
 
+def test_solve_dump_of_an_empty_table_is_empty(tmp_path, capsys):
+    dump = tmp_path / "table.txt"
+    rc, out, _ = run_cli(
+        capsys, "solve", "--graph", "grid:1x1", "--cops", "1", "--dump-table", str(dump)
+    )
+    assert rc == EXIT_OK
+    assert "states=0" in out
+    assert dump.read_bytes() == b""
+
+
 def test_solve_budget_exit_code(capsys):
     rc, _, err = run_cli(
         capsys, "solve", "--graph", "grid:3x3", "--cops", "2", "--budget", "10"
@@ -128,7 +155,7 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 def test_gen_out_is_a_directory_is_input_error(capsys, tmp_path):
-    rc, _, err = run_cli(capsys, "gen", "--kind", "path", "--n", "3", "--out", str(tmp_path))
+    rc, _, err = run_cli(capsys, "gen", "--t1", "path:3", "--out", str(tmp_path))
     assert rc == EXIT_INPUT
     assert err.startswith("error: ") and "Traceback" not in err
 

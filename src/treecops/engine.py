@@ -289,8 +289,10 @@ def best_response_length(
     cops0 = tuple(cops0)
     robber_first = config.move_order is MoveOrder.ROBBER_FIRST
 
+    # One table: a state is marked ESCAPE when pushed and gets its value
+    # when popped, so a state still on the stack reads as ESCAPE.  Reaching
+    # it again is a cycle the robber can force, which is what ESCAPE means.
     memo: dict[tuple, CaptureValue] = {}
-    on_stack: set[tuple] = set()
     # Looked up once per search rather than once per cop reply.
     respond = cop_strategy.respond
     cops_to_move = Side.COPS
@@ -305,7 +307,8 @@ def best_response_length(
         return tuple(new_cops), new_memory
 
     def successors(key: tuple) -> list[tuple | None]:
-        """None entries are capture-this-round branches (value 1).
+        """None entries are capture-this-round branches, read as a child
+        of value 0.
 
         Moves onto a cop are dropped: staying is always available to an
         uncaptured robber, and every branch is worth at least one round,
@@ -334,48 +337,33 @@ def best_response_length(
     def evaluate(root: tuple) -> CaptureValue:
         if root in memo:
             return memo[root]
-        # Iterative DFS; frames are [key, successor list, index, best, escape?].
+        # Iterative DFS; frames are [key, successor list, index, best].
         # Values are ints or ESCAPE, so memo.get() returning None is a miss.
-        stack = [[root, successors(root), 0, 0, False]]
-        on_stack.add(root)
+        memo[root] = ESCAPE
+        stack = [[root, successors(root), 0, 0]]
         while stack:
             frame = stack[-1]
-            key, succ, idx, best, escaped = frame
-            descended = False
-            while idx < len(succ) and not escaped:
+            key, succ, idx, best = frame
+            while idx < len(succ):
                 child = succ[idx]
-                if child is None:
-                    if best < 1:
-                        best = 1
-                    idx += 1
-                    continue
-                value = memo.get(child)
-                if value is not None:
-                    if value is ESCAPE:
-                        escaped = True
-                    else:
-                        if value >= best:
-                            best = value + 1
-                        idx += 1
-                    continue
-                if child in on_stack:
-                    escaped = True  # robber can force a cycle
-                    continue
-                if len(memo) + len(on_stack) > memo_budget:
-                    raise ResourceBudgetError(
-                        f"best-response search exceeded {memo_budget} states",
-                        len(memo) + len(on_stack),
-                    )
-                frame[2], frame[3], frame[4] = idx, best, escaped
-                on_stack.add(child)
-                stack.append([child, successors(child), 0, 0, False])
-                descended = True
-                break
-            if descended:
-                continue
-            memo[key] = ESCAPE if escaped else best
-            on_stack.discard(key)
-            stack.pop()
+                value = 0 if child is None else memo.get(child)
+                if value is None:
+                    if len(memo) > memo_budget:
+                        raise ResourceBudgetError(
+                            f"best-response search exceeded {memo_budget} states", len(memo))
+                    frame[2], frame[3] = idx, best
+                    memo[child] = ESCAPE
+                    stack.append([child, successors(child), 0, 0])
+                    break
+                if value is ESCAPE:
+                    stack.pop()  # the key keeps its ESCAPE mark
+                    break
+                if value >= best:
+                    best = value + 1
+                idx += 1
+            else:
+                memo[key] = best
+                stack.pop()
         return memo[root]
 
     best: CaptureValue = 0

@@ -81,17 +81,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Exact shortest-path distances from source; -1 marks unreachable."""
-    dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    return bfs_parents(g, source)[0]
 
 
 def bfs_parents(g: Graph, source: int) -> tuple[list[int], list[int]]:

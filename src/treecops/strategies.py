@@ -55,12 +55,9 @@ class StationaryRobber(RobberStrategy):
 
     def place(self, g: Graph, cops):
         dists = [bfs_distances(g, c) for c in cops]
-        best, best_v = -1, -1
-        for v in range(g.vertex_count):
-            d = min(dist[v] for dist in dists)
-            if d > best:
-                best, best_v = d, v
-        return best_v, None
+        # The farthest vertex from its nearest cop; ties go to the smallest id.
+        values = [min(dist[v] for dist in dists) for v in range(g.vertex_count)]
+        return values.index(max(values)), None
 
     def respond(self, g: Graph, state: GameState, memory):
         return state.robber, memory

@@ -97,6 +97,7 @@ def suite_thm1(max_size: int = 7, count: int = 50, seed: int = 42) -> SuiteResul
             got = solve(tree, 1).capture_time
             report = BoundReport(instance=f"tree[n={n},{idx}]")
             report.claims.append(make_claim("thm1-capt", got, "==", want))
+            _record_solve(report, tree, 1)
             result.reports.append(report)
     rng = SplitMix64(seed)
     config = GameConfig(cop_count=1)
@@ -107,6 +108,7 @@ def suite_thm1(max_size: int = 7, count: int = 50, seed: int = 42) -> SuiteResul
         got = best_response_length(tree, config, TreeChaseCop(tree))
         report = BoundReport(instance=f"thm1-strategy[{i}] n={n}")
         report.claims.append(make_claim("thm1-strategy", got, "==", want))
+        report.provenance["graph"] = tree
         result.reports.append(report)
     return result
 

@@ -7,15 +7,6 @@ from typing import Iterator
 from .graphs import Graph, GraphError, bfs_distances, bfs_parents, is_tree
 
 
-def _farthest(dist: list[int]) -> int:
-    # Smallest id among the maximizers, for deterministic paths.
-    best = 0
-    for v, d in enumerate(dist):
-        if d > dist[best]:
-            best = v
-    return best
-
-
 def diametral_path(t: Graph) -> list[int]:
     """A longest path in the tree, found by double BFS.
 
@@ -26,10 +17,11 @@ def diametral_path(t: Graph) -> list[int]:
         raise GraphError("diametral_path requires a tree")
     if t.vertex_count < 2:
         raise GraphError("diametral_path requires diameter > 0")
+    # Each end is the smallest id among the farthest, for deterministic paths.
     dist0 = bfs_distances(t, 0)
-    a = _farthest(dist0)
+    a = dist0.index(max(dist0))
     dist_a, parent_a = bfs_parents(t, a)
-    b = _farthest(dist_a)
+    b = dist_a.index(max(dist_a))
     path = [b]
     while path[-1] != a:
         path.append(parent_a[path[-1]])

@@ -587,15 +587,7 @@ def test_verify_stdout_at_defaults_is_pinned(capsys, tmp_path, suite, prefix):
 def test_verify_escape_is_a_failure_with_counterexample(capsys, tmp_path, monkeypatch,
                                                         argv, claim):
     # A solver that wrongly reports ESCAPE must fail the claim, not the input.
-    import treecops.suites as suites
-
-    original = suites.solve
-
-    def escaping(g, k, *args, **kwargs):
-        return dataclasses.replace(original(g, k, *args, **kwargs),
-                                   capture_time=treecops.ESCAPE)
-
-    monkeypatch.setattr(suites, "solve", escaping)
+    force_solve_escape(monkeypatch)
     rc, out, err = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "f"))
     assert rc == EXIT_VERIFY_FAIL
     assert f"CLAIM {claim} -1 >= 0 FAIL" in out
@@ -603,6 +595,18 @@ def test_verify_escape_is_a_failure_with_counterexample(capsys, tmp_path, monkey
     failure_dir = tmp_path / "f" / argv[1]
     assert (failure_dir / "failure-0.txt").is_file()
     parse_graph((failure_dir / "failure-0.g").read_text())
+    assert_solve_replays(capsys, monkeypatch, failure_dir, ["robber-first"])
+
+
+def test_verify_thm1_capt_failure_replays_one_cop_solve(capsys, tmp_path, monkeypatch):
+    force_solve_escape(monkeypatch)
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "thm1", "--max-size", "3",
+                         "--count", "0", "--out", str(tmp_path / "f"))
+    assert rc == EXIT_VERIFY_FAIL
+    assert "CLAIM thm1-capt -1 == 1 FAIL" in out
+    failure_dir = tmp_path / "f" / "thm1"
+    assert parse_graph((failure_dir / "failure-0.g").read_text()).vertex_count == 2
+    assert "--cops 1 --order robber-first" in (failure_dir / "failure-0.txt").read_text()
     assert_solve_replays(capsys, monkeypatch, failure_dir, ["robber-first"])
 
 
@@ -639,6 +643,20 @@ def test_verify_strategy_escape_is_written_minus_one(capsys, tmp_path, monkeypat
     rc, out, err = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "f"))
     assert rc == EXIT_VERIFY_FAIL
     assert re.search(rf"^CLAIM {claim} -1 == \d+ FAIL  # ", out, re.M)
+    parse_graph((tmp_path / "f" / argv[1] / "failure-0.g").read_text())
+
+
+def force_solve_escape(monkeypatch):
+    """Make every solve a suite runs report ESCAPE as its capture time."""
+    import treecops.suites as suites
+
+    original = suites.solve
+
+    def escaping(g, k, *args, **kwargs):
+        return dataclasses.replace(original(g, k, *args, **kwargs),
+                                   capture_time=treecops.ESCAPE)
+
+    monkeypatch.setattr(suites, "solve", escaping)
 
 
 def assert_solve_replays(capsys, monkeypatch, failure_dir, orders):

@@ -330,7 +330,7 @@ def test_best_response_budget_error_carries_count():
         best_response_length(
             path_graph(3), GameConfig(cop_count=1), CountingCop(), memo_budget=50
         )
-    assert exc.value.count > 50
+    assert exc.value.count == 51
 
 
 def test_best_response_stationary_cop_escapes():

@@ -139,19 +139,27 @@ def _write_counterexamples(out_dir: Path, failing) -> None:
             for order in report.provenance.get("orders", ()):
                 lines.append(f"# replay: treecops solve --graph {stem}.g"
                              f" --cops {report.provenance['cops']} --order {order.value}")
-        product = report.provenance.get("product")
+        # A report on a constructive strategy names one game of it against
+        # the optimal robber, played by the replay command itself on the
+        # graphs as written.
+        product, tree = report.provenance.get("product"), report.provenance.get("tree")
         if isinstance(product, ProductGraph):
-            # One game of the two-cop strategy against the optimal robber,
-            # played by the replay command itself on the factors as written.
             replay = f"simulate --t1 {stem}.t1.g --t2 {stem}.t2.g --cops lemma2 --robber optimal"
+            graphs = (product.factor1, product.factor2)
+        elif isinstance(tree, Graph):
+            replay = f"simulate --t1 {stem}.g --cops thm1 --robber optimal"
+            graphs = (tree,)
+        else:
+            replay = None
+        if replay is not None:
             lines.append(f"# replay: treecops {replay}")
             args = build_parser().parse_args(replay.split())
-            names = (args.t1, args.t2)
-            for name, factor in zip(names, (product.factor1, product.factor2)):
-                (out_dir / name).write_text(format_graph(factor))
-            factors = [parse_graph((out_dir / name).read_text()) for name in names]
+            names = (args.t1, args.t2)[:len(graphs)]
+            for name, graph in zip(names, graphs):
+                (out_dir / name).write_text(format_graph(graph))
+            read = [parse_graph((out_dir / name).read_text()) for name in names]
             try:
-                trace_text = _play(args, *factors)[1]
+                trace_text = _play(args, *read)[1]
             except Exception as exc:  # the strategy itself may be what failed
                 trace_text = f"# trace unavailable: {exc}\n"
             (out_dir / f"{stem}.trace").write_text(trace_text)
@@ -159,7 +167,7 @@ def _write_counterexamples(out_dir: Path, failing) -> None:
         (out_dir / f"{stem}.txt").write_text("\n".join(lines) + "\n")
 
 
-def _play(args, t1: Graph, t2: Graph | None) -> tuple[Outcome, str]:
+def _play(args, t1: Graph, t2: Graph | None = None) -> tuple[Outcome, str]:
     """Play a `simulate` command on t1, or on t1 x t2; return its trace text."""
     product = cartesian_product(t1, t2) if t2 is not None else None
     g = product.flat if product is not None else t1

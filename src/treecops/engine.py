@@ -169,7 +169,8 @@ def legal_cop_moves(g: Graph, cops: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _check_vertex(g: Graph, v: int, who: str) -> None:
-    if not isinstance(v, int) or not 0 <= v < g.vertex_count:
+    # bool is a subclass of int, but True is not vertex 1.
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.vertex_count:
         raise IllegalMoveError(f"{who} chose invalid vertex {v!r}")
 
 
@@ -190,12 +191,15 @@ def _check_robber_move(g: Graph, old: int, new: int) -> None:
 def _check_cop_moves(g: Graph, old: tuple[int, ...], new: tuple[int, ...]) -> None:
     if len(new) != len(old):
         raise IllegalMoveError(f"cops returned {len(new)} positions for {len(old)} cops")
+    # Fast path: every entry a plain int that stays or steps along an edge.
+    # Anything else falls through to the checks that name the fault.
     adjacency, n = g.adjacency, g.vertex_count
+    for a, b in zip(old, new):
+        if type(b) is not int or not (b == a and 0 <= b < n or b in adjacency[a]):
+            break
+    else:
+        return
     for i, (a, b) in enumerate(zip(old, new)):
-        # A plain int that is a valid stay or an adjacent step is accepted
-        # at once; anything else takes the checks that name the fault.
-        if type(b) is int and (b == a and 0 <= b < n or b in adjacency[a]):
-            continue
         _check_vertex(g, b, f"cop {i}")
         if b != a and not g.has_edge(a, b):
             raise IllegalMoveError(f"cop {i} moved {a} -> {b}, not a stay or an edge")
@@ -298,14 +302,6 @@ def best_response_length(
     cops_to_move = Side.COPS
     new_tuple = tuple.__new__
 
-    def cop_reply(cops: tuple[int, ...], robber: int, memory) -> tuple[tuple[int, ...], Hashable]:
-        # tuple.__new__ fills the named tuple's fields in C; GameState(...)
-        # would run its generated __new__ as a Python frame.
-        state = new_tuple(GameState, (cops, robber, 1, cops_to_move))
-        new_cops, new_memory = respond(g, state, memory)
-        _check_cop_moves(g, cops, new_cops)
-        return tuple(new_cops), new_memory
-
     def successors(key: tuple) -> list[tuple | None]:
         """None entries are capture-this-round branches, read as a child
         of value 0.
@@ -313,6 +309,10 @@ def best_response_length(
         Moves onto a cop are dropped: staying is always available to an
         uncaptured robber, and every branch is worth at least one round,
         so a suicide can never raise the max.
+
+        Each cop reply is the strategy's `respond` on a state built with
+        tuple.__new__ (the named tuple's fields filled in C, with no
+        Python frame), followed by one `_check_cop_moves`.
         """
         cops, robber, memory = key
         out: list[tuple | None] = []
@@ -320,13 +320,19 @@ def best_response_length(
             for r_new in closed[robber]:
                 if r_new in cops:
                     continue
-                new_cops, new_memory = cop_reply(cops, r_new, memory)
+                new_cops, new_memory = respond(
+                    g, new_tuple(GameState, (cops, r_new, 1, cops_to_move)), memory)
+                _check_cop_moves(g, cops, new_cops)
+                new_cops = tuple(new_cops)
                 if r_new in new_cops:
                     out.append(None)
                 else:
                     out.append((new_cops, r_new, new_memory))
         else:
-            new_cops, new_memory = cop_reply(cops, robber, memory)
+            new_cops, new_memory = respond(
+                g, new_tuple(GameState, (cops, robber, 1, cops_to_move)), memory)
+            _check_cop_moves(g, cops, new_cops)
+            new_cops = tuple(new_cops)
             if robber in new_cops:
                 return [None]
             for r_new in closed[robber]:

@@ -108,7 +108,8 @@ def suite_thm1(max_size: int = 7, count: int = 50, seed: int = 42) -> SuiteResul
         got = best_response_length(tree, config, TreeChaseCop(tree))
         report = BoundReport(instance=f"thm1-strategy[{i}] n={n}")
         report.claims.append(make_claim("thm1-strategy", got, "==", want))
-        report.provenance["graph"] = tree
+        # The tree the chase played on: a counterexample replays that game.
+        report.provenance.update(graph=tree, tree=tree)
         result.reports.append(report)
     return result
 

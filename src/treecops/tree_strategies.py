@@ -83,7 +83,10 @@ class TreeChaseCop(CopStrategy):
             raise InputError("TreeChaseCop plays on a tree")
         self.tree = tree
         self.start = center_start(tree)
-        self._hop = [hop for _, hop in tree_rows(tree)]
+        # Only the hop rows are kept; tree_rows drops the distance rows.
+        self._hop: list = [None] * tree.vertex_count
+        for source, _, hop in tree_rows(tree):
+            self._hop[source] = hop
 
     def place(self, g: Graph):
         return (self.start,), None
@@ -93,6 +96,15 @@ class TreeChaseCop(CopStrategy):
         if cop == state.robber:
             return state.cops, memory
         return (self._hop[state.robber][cop],), memory
+
+
+def _rows_by_source(t: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """All distance rows and all hop rows of a tree, indexed by source."""
+    dist: list = [None] * t.vertex_count
+    hop: list = [None] * t.vertex_count
+    for source, dist_row, hop_row in tree_rows(t):
+        dist[source], hop[source] = dist_row, hop_row
+    return dist, hop
 
 
 class TwoPhaseMemory(NamedTuple):
@@ -114,10 +126,10 @@ class ProductTwoCop(CopStrategy):
     Construction arranges the factors (see the module docstring) and
     precomputes everything a response looks up: distances and next hops
     in both arranged trees, the flat-to-internal coordinate table (factor
-    swap applied) and its inverse, which has no entry for pairs on the
-    virtual leaf.  The distance tables are the only view of the trees:
-    the invariant checks read which vertices lie below a root from them
-    too.  `stats` counts responses, endgame entries and invariant checks,
+    swap applied) and its inverse, indexed [x][y], which holds None for
+    pairs on the virtual leaf.  The distance tables are the only view of
+    the trees: the invariant checks read which vertices lie below a root
+    from them too.  `stats` counts responses, endgame entries and invariant checks,
     so an instance is per-thread state, not a shareable template.
     """
 
@@ -147,21 +159,24 @@ class ProductTwoCop(CopStrategy):
         self.tree1, self.tree2, self.path1, self.path2 = tree1, tree2, path1, path2
         self.m, self.n = (len(path1) - 2) // 2, (len(path2) - 1) // 2
         self.root2 = path2[self.n]  # b_{n+1}, fixed for the game
-        self._dist1, self._hop1 = zip(*tree_rows(self.tree1))
-        self._dist2, self._hop2 = zip(*tree_rows(self.tree2))
+        self._dist1, self._hop1 = _rows_by_source(self.tree1)
+        self._dist2, self._hop2 = _rows_by_source(self.tree2)
         pairs = [product.pair_of(f) for f in range(product.flat.vertex_count)]
         if swapped:
             pairs = [(x2, x1) for x1, x2 in pairs]
-        # Product vertices never involve the virtual leaf, so neither table
-        # has an entry for a pair that touches it.
+        # Product vertices never involve the virtual leaf, so the internal
+        # table has no pair on it and the flat table holds None there.
         self._internal_of: tuple[tuple[int, int], ...] = tuple(pairs)
-        self._flat_of: dict[tuple[int, int], int] = {p: f for f, p in enumerate(pairs)}
+        self._flat_of: list[list[int | None]] = [
+            [None] * tree2.vertex_count for _ in range(tree1.vertex_count)]
+        for f, (x, y) in enumerate(pairs):
+            self._flat_of[x][y] = f
         self.stats = {"endgame_entries": 0, "invariant_checks": 0, "responses": 0}
 
     # -- coordinate plumbing ------------------------------------------------
 
     def _flat(self, pair: tuple[int, int]) -> int:
-        flat = self._flat_of.get(pair)
+        flat = self._flat_of[pair[0]][pair[1]]
         if flat is None:
             raise StrategyInvariantError(
                 f"strategy prescribed a move onto virtual vertex: internal {pair}"
@@ -294,8 +309,12 @@ class ProductTwoCop(CopStrategy):
                 near[0], far[0], near[1], r_now, root1, "after endgame move"
             )
 
-        new_pairs = (near, far) if c1_slot == 0 else (far, near)
-        new_cops = (self._flat(new_pairs[0]), self._flat(new_pairs[1]))
+        first, second = (near, far) if c1_slot == 0 else (far, near)
+        flat_of = self._flat_of
+        new_cops = (flat_of[first[0]][first[1]], flat_of[second[0]][second[1]])
+        if new_cops[0] is None or new_cops[1] is None:
+            # A move onto the virtual leaf: _flat raises the error naming it.
+            new_cops = (self._flat(first), self._flat(second))
         if root1 is None:
             # Orientation still floats: the pair has not moved in the odd
             # tree, so the robber can legitimately cross sides.

@@ -1,5 +1,5 @@
-"""Tree navigation: diametral paths, next steps, all-pairs distance and
-next-hop rows, and leaf extension."""
+"""Tree navigation: diametral paths, next steps, re-rooted distance and
+next-hop rows for every source, and leaf extension."""
 from __future__ import annotations
 
 from typing import Iterator
@@ -40,20 +40,67 @@ def step_toward(t: Graph, frm: int, to: int) -> int:
     raise GraphError(f"no step from {frm} toward {to}; graph is not a tree?")
 
 
-def tree_rows(t: Graph) -> Iterator[tuple[list[int], list[int]]]:
-    """(dist, hop) rows of a tree, one BFS per source s = 0, 1, ...
+def tree_rows(t: Graph) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(source, dist, hop) for every source s of a tree, in depth-first order.
 
     dist[v] is the distance from s to v.  hop[frm] is the first step from
-    frm toward s (hop[s] = s): in a tree that step is frm's parent when
-    the tree hangs from s, so hop is the parent array of the same BFS.
-    Rows are yielded one at a time, so a caller keeps only what it needs.
+    frm toward s (hop[s] = s): frm's parent when the tree hangs from s.
+
+    Re-rooting: one BFS from vertex 0 gives the first rows.  Every other
+    source s is reached from its parent p in the tree hung from 0, across
+    the edge p-s.  Its distance row is p's plus one, minus two on s's
+    subtree, whose vertices come one step closer while the rest move one
+    step away.  Its hop row is p's with two entries changed: hop[p] = s
+    and hop[s] = s.
+
+    Order and held rows: the sources come in preorder from vertex 0, each
+    vertex's children by ascending subtree size.  A vertex's rows are held
+    only until its last (largest) child's rows are derived, and a leaf's
+    are never held.  A held vertex's pending subtree is then at most half
+    its own, so apart from the rows a caller keeps, at most log2(n) + 1
+    row pairs are alive at once: a caller that keeps only the hop rows
+    never holds all the distance rows.  A yielded row is read again to
+    derive later rows, so callers must not change it.
     """
     if not is_tree(t):
         raise GraphError("tree_rows requires a tree")
-    for s in range(t.vertex_count):
-        dist, hop = bfs_parents(t, s)
-        hop[s] = s
-        yield dist, hop
+    n = t.vertex_count
+    dist0, parent = bfs_parents(t, 0)
+    # Subtree sizes from the BFS order read backwards.
+    bfs_order = sorted(range(n), key=dist0.__getitem__)
+    size = [1] * n
+    for v in reversed(bfs_order[1:]):
+        size[parent[v]] += size[v]
+    # Children by ascending subtree size, so the largest one comes last.
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in bfs_order[1:]:
+        children[parent[v]].append(v)
+    for kids in children:
+        kids.sort(key=size.__getitem__)
+    preorder, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        stack.extend(reversed(children[v]))
+    first = [0] * n  # s's subtree is preorder[first[s]:first[s] + size[s]]
+    for i, v in enumerate(preorder):
+        first[v] = i
+
+    hop0 = parent.copy()
+    hop0[0] = 0
+    held = {0: (dist0, hop0)}
+    yield 0, dist0, hop0
+    for s in preorder[1:]:
+        p = parent[s]
+        p_dist, p_hop = held.pop(p) if children[p][-1] == s else held[p]
+        dist = [d + 1 for d in p_dist]
+        for v in preorder[first[s]:first[s] + size[s]]:
+            dist[v] -= 2
+        hop = p_hop.copy()
+        hop[p] = hop[s] = s
+        if children[s]:
+            held[s] = dist, hop
+        yield s, dist, hop
 
 
 def add_leaf(t: Graph, at: int) -> Graph:

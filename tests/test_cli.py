@@ -646,6 +646,33 @@ def test_verify_strategy_escape_is_written_minus_one(capsys, tmp_path, monkeypat
     parse_graph((tmp_path / "f" / argv[1] / "failure-0.g").read_text())
 
 
+def test_verify_thm1_strategy_failure_replays_the_chase(capsys, tmp_path, monkeypatch):
+    # A failing thm1-strategy report names one game of the one-cop chase on
+    # the written tree, and that command, run in the directory, reprints
+    # the trace written next to it.
+    import treecops.suites as suites
+
+    monkeypatch.setattr(suites, "best_response_length", lambda *args: treecops.ESCAPE)
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "thm1", "--max-size", "3",
+                         "--count", "1", "--out", str(tmp_path / "f"))
+    assert rc == EXIT_VERIFY_FAIL
+    assert re.search(r"^CLAIM thm1-strategy -1 == \d+ FAIL  # ", out, re.M)
+    failure_dir = tmp_path / "f" / "thm1"
+    report = (failure_dir / "failure-0.txt").read_text().splitlines()
+    replay = [line for line in report if line.startswith("# replay: ")]
+    assert replay == ["# replay: treecops simulate --t1 failure-0.g --cops thm1 --robber optimal"]
+    written = (failure_dir / "failure-0.trace").read_text()
+    assert written.splitlines()[0] == "#graph failure-0.g"
+    assert "#cops 1" in written.splitlines()
+    assert written.splitlines()[-1].startswith("CAPTURED")
+    argv = shlex.split(replay[0][len("# replay: "):])
+    assert argv[0] == "treecops"
+    monkeypatch.chdir(failure_dir)
+    rc, out, _ = run_cli(capsys, *argv[1:])
+    assert rc == EXIT_OK
+    assert out == written
+
+
 def force_solve_escape(monkeypatch):
     """Make every solve a suite runs report ESCAPE as its capture time."""
     import treecops.suites as suites

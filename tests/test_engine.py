@@ -241,6 +241,90 @@ def test_simulate_and_best_response_check_the_placement_alike(order):
         best_response_length(path_graph(5), config, OffGraphCop())
 
 
+class ScriptedCop(CopStrategy):
+    """Test helper: places the given cops, then answers reply(cops)."""
+
+    def __init__(self, start, reply):
+        self.start, self.reply = start, reply
+
+    def place(self, g):
+        return self.start, None
+
+    def respond(self, g, state, memory):
+        return self.reply(state.cops), memory
+
+
+class ScriptedRobber(RobberStrategy):
+    """Test helper: places on `start`, then answers reply(robber)."""
+
+    def __init__(self, start, reply=lambda r: r):
+        self.start, self.reply = start, reply
+
+    def place(self, g, cops):
+        return self.start, None
+
+    def respond(self, g, state, memory):
+        return self.reply(state.robber), memory
+
+
+# Every cop reply the move check rejects, with the message that names the
+# fault.  The robber starts at the far end of P5, so no reply captures first.
+_REJECTED_COP_REPLIES = [
+    ((0,), lambda cops: cops * 2, "cops returned 2 positions for 1 cops"),
+    ((0,), lambda cops: (99,), "cop 0 chose invalid vertex 99"),
+    ((0,), lambda cops: (-1,), "cop 0 chose invalid vertex -1"),
+    ((0,), lambda cops: (1.0,), "cop 0 chose invalid vertex 1.0"),
+    ((0,), lambda cops: (0.0,), "cop 0 chose invalid vertex 0.0"),
+    ((0,), lambda cops: (True,), "cop 0 chose invalid vertex True"),
+    ((1,), lambda cops: (True,), "cop 0 chose invalid vertex True"),
+    ((1,), lambda cops: (False,), "cop 0 chose invalid vertex False"),
+    ((0,), lambda cops: (cops[0] + 2,), "cop 0 moved 0 -> 2, not a stay or an edge"),
+    ((0, 1), lambda cops: (cops[0], cops[1] + 2), "cop 1 moved 1 -> 3, not a stay or an edge"),
+    ((0, 1), lambda cops: (cops[0], True), "cop 1 chose invalid vertex True"),
+]
+_REJECTED_IDS = ["count", "range", "negative", "float-step", "float-stay", "bool-step",
+                 "bool-stay", "bool-step-down", "non-edge", "second-non-edge", "second-bool"]
+
+
+@pytest.mark.parametrize("start, reply, message", _REJECTED_COP_REPLIES, ids=_REJECTED_IDS)
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_every_rejected_cop_reply_keeps_its_message(start, reply, message, order):
+    config = GameConfig(cop_count=len(start), move_order=order)
+    with pytest.raises(IllegalMoveError, match=f"^{message}$"):
+        best_response_length(path_graph(5), config, ScriptedCop(start, reply))
+    with pytest.raises(IllegalMoveError, match=f"^{message}$"):
+        simulate(path_graph(5), config, ScriptedCop(start, reply), ScriptedRobber(4))
+
+
+def test_check_cop_moves_rejects_a_bool_for_vertex_one():
+    from treecops.engine import _check_cop_moves
+
+    _check_cop_moves(path_graph(5), (0,), (1,))
+    with pytest.raises(IllegalMoveError, match="cop 0 chose invalid vertex True"):
+        _check_cop_moves(path_graph(5), (0,), (True,))
+
+
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_a_bool_cop_placement_is_rejected(order):
+    config = GameConfig(cop_count=1, move_order=order)
+    cop = ScriptedCop((True,), lambda cops: cops)
+    with pytest.raises(IllegalMoveError, match="cop 0 chose invalid vertex True"):
+        simulate(path_graph(5), config, cop, ScriptedRobber(4))
+    with pytest.raises(IllegalMoveError, match="cop 0 chose invalid vertex True"):
+        best_response_length(path_graph(5), config, cop)
+
+
+# The best-response search plays every robber move itself, so only
+# `simulate` asks a robber strategy for a placement or a move.
+@pytest.mark.parametrize("robber", [ScriptedRobber(True), ScriptedRobber(4, lambda r: r == 4)],
+                         ids=["placement", "move"])
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_a_bool_robber_position_is_rejected(robber, order):
+    config = GameConfig(cop_count=1, move_order=order)
+    with pytest.raises(IllegalMoveError, match="robber chose invalid vertex True"):
+        simulate(path_graph(5), config, StationaryCop((0,)), robber)
+
+
 def test_game_state_is_a_positional_immutable_record():
     state = GameState((0, 2), 3, 1, Side.COPS)
     assert (state.cops, state.robber, state.round, state.to_move) == ((0, 2), 3, 1, Side.COPS)

@@ -208,6 +208,13 @@ def _walk_is_descendant(depth, parent, ancestor, v):
     return v == ancestor
 
 
+def _rows_by_source(t):
+    """tree_rows' distance and hop rows, each list indexed by source."""
+    rows = sorted(tree_rows(t), key=lambda row: row[0])
+    assert [source for source, _, _ in rows] == list(range(t.vertex_count))
+    return [dist for _, dist, _ in rows], [hop for _, _, hop in rows]
+
+
 _NAVIGATION_TREES = [random_tree(n, seed) for n, seed in ((9, 1), (14, 2), (23, 3), (31, 4))]
 _NAVIGATION_TREES += [path_graph(7), star_graph(6)]
 
@@ -217,7 +224,7 @@ def test_is_descendant_matches_parent_walk(t):
     # The identity ProductTwoCop checks containment with: a lies on the
     # root-to-v path exactly when d(root, a) + d(a, v) = d(root, v).
     n = t.vertex_count
-    dist = [row for row, _ in tree_rows(t)]
+    dist = _rows_by_source(t)[0]
     for root in range(n):
         depth, parent = bfs_parents(t, root)
         top = dist[root]
@@ -228,7 +235,7 @@ def test_is_descendant_matches_parent_walk(t):
 
 @pytest.mark.parametrize("t", _NAVIGATION_TREES)
 def test_next_hop_table_matches_step_toward(t):
-    dist, hop = zip(*tree_rows(t))
+    dist, hop = _rows_by_source(t)
     for to in range(t.vertex_count):
         assert dist[to] == bfs_distances(t, to)
         assert hop[to][to] == to
@@ -240,3 +247,31 @@ def test_next_hop_table_matches_step_toward(t):
 def test_next_hop_table_rejects_non_trees():
     with pytest.raises(GraphError):
         list(tree_rows(grid_graph(2, 2)))
+
+
+_REROOTED_TREES = [path_graph(2), path_graph(60), path_graph(500), star_graph(40), star_graph(500)]
+_REROOTED_TREES += [random_tree(n, seed) for n, seed in ((3, 1), (17, 2), (64, 3), (200, 1000),
+                                                         (500, 7))]
+_REROOTED_TREES += [add_leaf(t, diametral_path(t)[-1]) for t in (random_tree(499, 1003),
+                                                                path_graph(30))]
+
+
+@pytest.mark.parametrize("t", _REROOTED_TREES, ids=lambda t: f"n{t.vertex_count}")
+def test_rerooted_rows_equal_bfs_rows(t):
+    # Every re-rooted row pair is the one a BFS from its source gives, and
+    # the sources come once each, in a depth-first preorder from vertex 0.
+    parent0 = bfs_parents(t, 0)[1]
+    path = []
+    for source, dist, hop in tree_rows(t):
+        want_dist, want_hop = bfs_parents(t, source)
+        want_hop[source] = source
+        assert dist == want_dist
+        assert hop == want_hop
+        if not path:
+            assert source == 0
+        else:
+            while path and path[-1] != parent0[source]:
+                path.pop()
+            assert path, f"source {source} does not follow its parent's subtree"
+        path.append(source)
+    assert sorted(s for s, _, _ in tree_rows(t)) == list(range(t.vertex_count))

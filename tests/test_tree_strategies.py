@@ -372,6 +372,57 @@ def test_best_response_against_two_cops_is_half_the_product_diameter(t1, t2):
     assert got == (diameter(t1) + diameter(t2)) // 2
 
 
+# The same digest over every TreeChaseCop reply of the search, whose
+# memory is always None.  The next-hop rows it replies from are re-rooted
+# from one BFS, so these pin that the rows, not only the value, are unchanged.
+_PINNED_CHASE_REPLIES = [
+    (lambda: random_tree(200, 1000),
+     {MoveOrder.ROBBER_FIRST: "6a4de5bc7e3cae2e", MoveOrder.COPS_FIRST: "87de2a261661cb00"}),
+    (lambda: path_graph(60),
+     {MoveOrder.ROBBER_FIRST: "83ec44faeeffb0ce", MoveOrder.COPS_FIRST: "00418b443d5b8235"}),
+    (lambda: star_graph(40),
+     {MoveOrder.ROBBER_FIRST: "cc9df5cc5cada530", MoveOrder.COPS_FIRST: "cc9df5cc5cada530"}),
+]
+
+
+@pytest.mark.parametrize("order", list(MoveOrder))
+@pytest.mark.parametrize("make_tree, digests", _PINNED_CHASE_REPLIES)
+def test_every_tree_chase_reply_of_the_search_is_pinned(make_tree, digests, order, monkeypatch):
+    t = make_tree()
+    strategy = TreeChaseCop(t)
+    respond = strategy.respond
+    digest = hashlib.sha256()
+
+    def recorded(g, state, memory):
+        cops, new_memory = respond(g, state, memory)
+        digest.update(f"{state.cops} {state.robber} {memory} -> {cops} {new_memory}\n".encode())
+        return cops, new_memory
+
+    monkeypatch.setattr(strategy, "respond", recorded)
+    best_response_length(t, GameConfig(cop_count=1, move_order=order), strategy)
+    assert digest.hexdigest()[:16] == digests[order]
+
+
+@pytest.mark.parametrize("t1, t2", [(path_graph(3), path_graph(5)), (path_graph(2), path_graph(4)),
+                                    (random_tree(20, 3), random_tree(9, 4)),
+                                    (random_tree(41, 7), random_tree(30, 8))],
+                         ids=["first-extended", "second-extended", "random-20-9", "random-41-30"])
+def test_two_cop_rows_equal_bfs_rows_on_the_arranged_trees(t1, t2):
+    # The rows the strategy reads, on the trees it arranged (one of them
+    # possibly extended by the virtual leaf), are those of a BFS per source.
+    from treecops.graphs import bfs_parents
+
+    strategy = ProductTwoCop(cartesian_product(t1, t2))
+    for tree, dist, hop in ((strategy.tree1, strategy._dist1, strategy._hop1),
+                            (strategy.tree2, strategy._dist2, strategy._hop2)):
+        assert len(dist) == len(hop) == tree.vertex_count
+        for source in range(tree.vertex_count):
+            want_dist, want_hop = bfs_parents(tree, source)
+            want_hop[source] = source
+            assert dist[source] == want_dist
+            assert hop[source] == want_hop
+
+
 def test_tree_chase_best_response_is_pinned():
     t = random_tree(200, 1000)
     assert best_response_length(t, GameConfig(cop_count=1), TreeChaseCop(t)) == 23

@@ -129,8 +129,9 @@ class ProductTwoCop(CopStrategy):
     swap applied) and its inverse, indexed [x][y], which holds None for
     pairs on the virtual leaf.  The distance tables are the only view of
     the trees: the invariant checks read which vertices lie below a root
-    from them too.  `stats` counts responses, endgame entries and invariant checks,
-    so an instance is per-thread state, not a shareable template.
+    from them too.  `stats` counts responses, endgame entries and
+    invariant checks, so an instance is per-thread state, not a shareable
+    template.
     """
 
     def __init__(self, product: ProductGraph):

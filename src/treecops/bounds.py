@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import ESCAPE, CaptureValue, is_escape
 from .graphs import Graph, bfs_distances, diameter
@@ -27,8 +28,7 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     lhs: int
     relation: str
@@ -125,19 +125,30 @@ def qualifying_c4_vertices(g: Graph) -> list[tuple[int, tuple[int, int, int, int
     return sorted(out)
 
 
-def check_lemma3(g: Graph, result: SolveResult) -> BoundReport:
+def _distance_rows(g: Graph, central_tuples) -> dict[int, list[int]]:
+    """One BFS distance row per distinct vertex of the central tuples."""
+    rows: dict[int, list[int]] = {}
+    for pair in central_tuples:
+        for c in pair:
+            if c not in rows:
+                rows[c] = bfs_distances(g, c)
+    return rows
+
+
+def check_lemma3(g: Graph, capture_time: CaptureValue,
+                 central_tuples: tuple[tuple[int, int], ...]) -> BoundReport:
     """d(u,c1) + d(u,c2) <= 2*capt + 1 for every central pair and every
     qualifying 4-cycle vertex u."""
     report = BoundReport(instance=f"lemma3[n={g.vertex_count}]")
-    if is_escape(result.capture_time):
+    if is_escape(capture_time):
         return _escaped(report, "capt2-finite")
-    t = result.capture_time
+    t = capture_time
     qualifying = qualifying_c4_vertices(g)
     if not qualifying:
         report.claims.append(vacuous_claim("lemma3"))
         return report
-    dist = {c: bfs_distances(g, c) for pair in result.central_tuples for c in pair}
-    for c1, c2 in result.central_tuples:
+    dist = _distance_rows(g, central_tuples)
+    for c1, c2 in central_tuples:
         for u, _cycle in qualifying:
             report.claims.append(
                 make_claim(
@@ -150,15 +161,16 @@ def check_lemma3(g: Graph, result: SolveResult) -> BoundReport:
     return report
 
 
-def check_theorem2(product: ProductGraph, result: SolveResult) -> BoundReport:
+def check_theorem2(product: ProductGraph, capture_time: CaptureValue,
+                   central_tuples: tuple[tuple[int, int], ...]) -> BoundReport:
     """capt2 of a two-tree product equals floor(diam/2), and the diameter
     chain through the corner vertices of the product holds."""
     g = product.flat
     d = diameter(g)
     report = BoundReport(instance=f"theorem2[n={g.vertex_count}]")
-    if is_escape(result.capture_time):
+    if is_escape(capture_time):
         return _escaped(report, "capt2-finite")
-    t = result.capture_time
+    t = capture_time
     report.claims.append(make_claim("theorem2-equality", t, "==", d // 2))
 
     # Opposite ends of the product's diametral paths are qualifying
@@ -174,9 +186,9 @@ def check_theorem2(product: ProductGraph, result: SolveResult) -> BoundReport:
     report.claims.append(
         make_claim("lemma4-corner-v", int(v in qualifying_vertices), "==", 1)
     )
-    for c1, c2 in result.central_tuples:
-        d1 = bfs_distances(g, c1)
-        d2 = bfs_distances(g, c2)
+    dist = _distance_rows(g, central_tuples)
+    for c1, c2 in central_tuples:
+        d1, d2 = dist[c1], dist[c2]
         chain = d1[u] + d1[v] + d2[u] + d2[v]
         tag = f"[c=({c1},{c2})]"
         report.claims.append(make_claim(f"lemma4-chain-lower{tag}", 2 * d, "<=", chain))
@@ -184,13 +196,13 @@ def check_theorem2(product: ProductGraph, result: SolveResult) -> BoundReport:
     return report
 
 
-def check_corollaries(product: ProductGraph, result: SolveResult) -> BoundReport:
+def check_corollaries(product: ProductGraph, capture_time: CaptureValue) -> BoundReport:
     """The one-cop sandwich around capt2, and the grid closed form when
     both factors are paths."""
     report = BoundReport(instance=f"corollaries[n={product.flat.vertex_count}]")
-    if is_escape(result.capture_time):
+    if is_escape(capture_time):
         return _escaped(report, "capt2-finite")
-    t2 = result.capture_time
+    t2 = capture_time
     c1a = solve(product.factor1, 1).capture_time
     c1b = solve(product.factor2, 1).capture_time
     report.provenance["factor_capt1"] = (c1a, c1b)

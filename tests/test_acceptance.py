@@ -128,7 +128,7 @@ def test_criterion_5_lower_bound_machinery(corpus_solved):
             g = grid_graph(m, n)
             instances.append((g, solve(g, 2)))
     for g, result in instances:
-        report = check_lemma3(g, result)
+        report = check_lemma3(g, result.capture_time, result.central_tuples)
         assert report.passed, report.instance
         if report.vacuous:
             vacuous += 1

@@ -598,6 +598,35 @@ def test_verify_escape_is_a_failure_with_counterexample(capsys, tmp_path, monkey
     assert_solve_replays(capsys, monkeypatch, failure_dir, ["robber-first"])
 
 
+@pytest.mark.parametrize("suite", ["theorem2", "sandwich", "lemma3"])
+def test_verify_escape_after_an_honest_run_still_fails(capsys, tmp_path, monkeypatch, suite):
+    # The shared solves are kept per solver, so the honest run of the same
+    # corpus does not hide a solver bound over it later in the process.
+    argv = ("verify", "--suite", suite, "--count", "2", "--max-size", "3")
+    rc, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "honest"))
+    assert rc == EXIT_OK
+    force_solve_escape(monkeypatch)
+    rc, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "f"))
+    assert rc == EXIT_VERIFY_FAIL
+    assert "CLAIM capt2-finite -1 >= 0 FAIL" in out
+
+
+def test_corpus_suites_print_the_same_in_any_order(capsys, tmp_path, monkeypatch):
+    # Each order starts from an empty memo, as a fresh process does.
+    import treecops.suites as suites
+
+    outputs = []
+    for order in (("theorem2", "sandwich", "lemma3"), ("lemma3", "sandwich", "theorem2")):
+        monkeypatch.setattr(suites, "_SOLVED", {})
+        printed = {}
+        for suite in order:
+            rc, printed[suite], _ = run_cli(capsys, "verify", "--suite", suite,
+                                            "--out", str(tmp_path / "f"))
+            assert rc == EXIT_OK
+        outputs.append(printed)
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_thm1_capt_failure_replays_one_cop_solve(capsys, tmp_path, monkeypatch):
     force_solve_escape(monkeypatch)
     rc, out, _ = run_cli(capsys, "verify", "--suite", "thm1", "--max-size", "3",

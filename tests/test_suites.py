@@ -121,3 +121,32 @@ def test_run_suite_passes_exactly_the_options_the_signature_names(monkeypatch, n
     assert result.name == name
     assert calls == [((), {k: v for k, v in options.items() if k in _SUITE_OPTIONS[name]})]
 
+
+
+def test_corpus_suites_solve_each_graph_once_per_process(monkeypatch):
+    # theorem2, sandwich and lemma3 share their two-cop solves: one call
+    # per distinct graph, whichever suite reaches it first.
+    import treecops.suites as suites
+    from treecops import cycle_graph, grid_graph
+
+    real = suites.solve
+    calls = []
+
+    def counting(g, k, *args, **kwargs):
+        calls.append((g, k))
+        return real(g, k, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "solve", counting)
+    for name in ("theorem2", "sandwich", "lemma3"):
+        assert run_suite(name).passed
+    graphs = [product.flat for product, _ in suites._pair_products(42, 50, 7)]
+    graphs += [grid_graph(m, n) for m, n in [(2, 2), (3, 3), (3, 4), (4, 5), (5, 5)]]
+    graphs.append(cycle_graph(4))
+    assert all(k == 2 for _, k in calls)
+    assert len(calls) == len(set(graphs)) == len({g for g, _ in calls})
+    assert {g for g, _ in calls} == set(graphs)
+    # The memo keeps the two values the checks read, never the value table.
+    kept = [solved for (solver, _), solved in suites._SOLVED.items() if solver is counting]
+    assert len(kept) == len(calls)
+    for capture_time, central_tuples in kept:
+        assert isinstance(capture_time, int) and isinstance(central_tuples, tuple)

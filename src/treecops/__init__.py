@@ -55,9 +55,9 @@ from .solver import (
     ValueTable,
     capture_time_both_orders,
     dump_value_table,
-    naive_value_iteration,
     solve,
 )
+from .oracle import naive_value_iteration
 from .tree_strategies import (
     ProductTwoCop,
     StrategyInvariantError,

@@ -83,45 +83,25 @@ def _escaped(report: BoundReport, claim_id: str) -> BoundReport:
     return report
 
 
-def _induced_c4s(g: Graph) -> list[tuple[int, int, int, int]]:
-    """All induced 4-cycles, canonically ordered, via common-neighbor pairs."""
-    n = g.vertex_count
-    adj = [set(g.adjacency[v]) for v in range(n)]
-    seen: set[frozenset[int]] = set()
-    cycles = []
-    for u in range(n):
-        for w in range(u + 1, n):
-            if w in adj[u]:
-                continue
-            common = sorted(adj[u] & adj[w])
-            for x, y in itertools.combinations(common, 2):
+def qualifying_c4_vertices(g: Graph) -> list[int]:
+    """Vertices of the induced 4-cycles C on which no vertex of the graph
+    has more than two neighbors, sorted, each vertex once per such C.
+
+    Each C is found once, from its diagonal through its smallest vertex
+    u: two non-adjacent neighbors x, y of u above u, and a common
+    neighbor w of x and y above u and not adjacent to u.
+    """
+    adj = [set(a) for a in g.adjacency]
+    out = []
+    for u, near in enumerate(adj):
+        above = {x for x in near if x > u}
+        for w in {z for x in above for z in adj[x] if z > u} - near:
+            for x, y in itertools.combinations(above & adj[w], 2):
                 if y in adj[x]:
                     continue
-                key = frozenset((u, x, w, y))
-                if key in seen:
-                    continue
-                seen.add(key)
-                # Canonical: smallest vertex first, then its smaller neighbor.
-                a = min(key)
-                nb = sorted(v for v in key if v in adj[a])
-                other = next(v for v in key if v != a and v not in adj[a])
-                cycles.append((a, nb[0], other, nb[1]))
-    return sorted(cycles)
-
-
-def qualifying_c4_vertices(g: Graph) -> list[tuple[int, tuple[int, int, int, int]]]:
-    """(vertex, cycle) pairs: u on an induced 4-cycle C such that no vertex
-    of the graph has more than two neighbors on C."""
-    out = []
-    for cycle in _induced_c4s(g):
-        cset = set(cycle)
-        ok = True
-        for v in range(g.vertex_count):
-            if sum(1 for w in g.adjacency[v] if w in cset) > 2:
-                ok = False
-                break
-        if ok:
-            out.extend((u, cycle) for u in cycle)
+                cycle = {u, x, w, y}
+                if all(len(adj[v] & cycle) <= 2 for v in near | adj[x] | adj[w] | adj[y]):
+                    out.extend(cycle)
     return sorted(out)
 
 
@@ -149,7 +129,7 @@ def check_lemma3(g: Graph, capture_time: CaptureValue,
         return report
     dist = _distance_rows(g, central_tuples)
     for c1, c2 in central_tuples:
-        for u, _cycle in qualifying:
+        for u in qualifying:
             report.claims.append(
                 make_claim(
                     f"lemma3[c=({c1},{c2}),u={u}]",
@@ -179,7 +159,7 @@ def check_theorem2(product: ProductGraph, capture_time: CaptureValue,
     p2 = diametral_path(product.factor2)
     u = product.flat_of(p1[0], p2[0])
     v = product.flat_of(p1[-1], p2[-1])
-    qualifying_vertices = {q for q, _ in qualifying_c4_vertices(g)}
+    qualifying_vertices = set(qualifying_c4_vertices(g))
     report.claims.append(
         make_claim("lemma4-corner-u", int(u in qualifying_vertices), "==", 1)
     )

@@ -59,7 +59,11 @@ def load_graph_source(source: str) -> Graph:
     path = Path(source)
     if not path.exists():
         raise GraphError(f"graph source {source!r}: no such file and not a generator spec")
-    return parse_graph(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"graph source {source!r}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_graph(text)
 
 
 def _budget(args) -> int:

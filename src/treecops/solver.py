@@ -1,4 +1,4 @@
-"""Exact capture times by retrograde analysis, plus a naive oracle.
+"""Exact capture times by retrograde analysis.
 
 State space and conventions
 ---------------------------
@@ -64,10 +64,8 @@ included).  Because the bits R[c'] gains reach F[c] for every c in
 M(c'), F(c, r) is 1 + the min over c' in M(c) of V(c', r), or 1 when r
 is in N[c] minus c; so the cops' reply costs one F lookup for its value
 t, then a scan of the ordered replies for the first that lands on r
-(t = 1) or has robber-to-move value t - 1.  The naive oracle
-recomputes the fixed point by repeated full passes over all states (no
-canonicalization, no ordering) and is kept structurally independent on
-purpose.
+(t = 1) or has robber-to-move value t - 1.  The naive oracle that
+checks both halves independently is :mod:`treecops.oracle`.
 
 Inputs are immutable, a solve owns its tables exclusively until it
 returns, and returned results are immutable, so independent solves can
@@ -76,6 +74,7 @@ run concurrently and results can be shared freely.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
@@ -96,7 +95,6 @@ from .engine import (
 )
 
 DEFAULT_STATE_BUDGET = 50_000_000
-DEFAULT_NAIVE_BUDGET = 1_000_000
 
 StateKey = tuple[tuple[int, ...], int]
 
@@ -160,15 +158,14 @@ class ValueTable:
     """Game values for every uncaptured (sorted cop tuple, robber) state.
 
     ``value`` is the half the move order stores, the one with the side
-    that moves first in a round to move.  ``other`` is the other half of
-    the same pass; only :func:`solve` fills it.
+    that moves first in a round to move.  ``other`` is the other half.
     """
 
     graph: Graph
     cop_count: int
     move_order: MoveOrder
     value: Mapping[StateKey, CaptureValue]
-    other: Mapping[StateKey, CaptureValue] | None = None
+    other: Mapping[StateKey, CaptureValue]
 
     def value_of(self, cops: Iterable[int], robber: int) -> CaptureValue:
         key = tuple(sorted(cops))
@@ -239,12 +236,8 @@ def _cop_configuration_space(g: Graph, k: int, closed):
 def _estimate_pairs(g: Graph, k: int) -> int:
     # Upper estimate of state-successor pairs without building anything big.
     n = g.vertex_count
-    tuple_count = 1
-    for i in range(k):
-        tuple_count = tuple_count * (n + i) // (i + 1)
-    max_branch = (max(g.degree(v) for v in range(n)) + 1) ** k
-    avg_deg = 2 * g.edge_count / n + 1
-    return int(tuple_count * n * (avg_deg + max_branch))
+    branch = (max(g.degree(v) for v in range(n)) + 1) ** k
+    return math.comb(n + k - 1, k) * (2 * g.edge_count + n + n * branch)
 
 
 def _retrograde(g: Graph, k: int) -> dict[Side, _Half]:
@@ -340,7 +333,11 @@ def solve(
     """Exact capture time, central tuples, and the full value table."""
     if k < 1:
         raise InputError("solve needs k >= 1")
-    estimate = _estimate_pairs(g, k)
+    # A solve stores every state and every cop of every tuple: refuse on
+    # that count first, as a huge k makes (max degree + 1)^k too big.
+    estimate = max(g.vertex_count, k) * math.comb(g.vertex_count + k - 1, k)
+    if estimate <= state_budget:
+        estimate = _estimate_pairs(g, k)
     if estimate > state_budget:
         raise ResourceBudgetError(
             f"solve budget exceeded: ~{estimate} state-successor pairs "
@@ -363,153 +360,15 @@ def capture_time_both_orders(g: Graph, k: int) -> tuple[CaptureValue, CaptureVal
     return rf.capture_time, _capture(rf.table.half(Side.COPS))[0]
 
 
-# --- naive oracle ------------------------------------------------------------
-
-
-def _vmin(a, b):
-    # None plays plus-infinity.
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def naive_value_iteration(
-    g: Graph,
-    k: int,
-    order: MoveOrder = MoveOrder.ROBBER_FIRST,
-    *,
-    state_budget: int = DEFAULT_NAIVE_BUDGET,
-) -> SolveResult:
-    """Same values as :func:`solve`, by a structurally different method.
-
-    All values start at escape (None) and the defining recurrence is
-    re-evaluated over all states until a full pass changes nothing.
-    Cop tuples are deliberately kept ordered (no canonicalization); the
-    projection onto sorted tuples checks permutation invariance and
-    doubles as the canonicalization soundness oracle.
-    """
-    if k < 1:
-        raise InputError("naive_value_iteration needs k >= 1")
-    n = g.vertex_count
-    if n ** (k + 1) > state_budget:
-        raise ResourceBudgetError(
-            f"naive oracle budget exceeded: {n ** (k + 1)} > {state_budget}",
-            n ** (k + 1),
-        )
-    closed = _closed_lists(g)
-    ordered = list(itertools.product(range(n), repeat=k))
-    # The oracle's own copy of the cop-move rule, so it shares no move code
-    # with the engine or the fast solver.
-    cop_moves = {t: list(itertools.product(*(closed[c] for c in t))) for t in ordered}
-    robber_first = order is MoveOrder.ROBBER_FIRST
-
-    val: dict[tuple[tuple[int, ...], int], int | None] = {}
-    for t in ordered:
-        ts = set(t)
-        for r in range(n):
-            if r not in ts:
-                val[(t, r)] = None
-
-    keys = list(val.keys())
-    changed = True
-    while changed:
-        changed = False
-        for key in keys:
-            t, r = key
-            ts = set(t)
-            if robber_first:
-                best_outer = -1  # max over robber moves; None dominates
-                saw_escape = False
-                for rp in closed[r]:
-                    if rp in ts:
-                        continue
-                    inner = None
-                    for mv in cop_moves[t]:
-                        if rp in mv:
-                            inner = _vmin(inner, 1)
-                        else:
-                            cv = val[(mv, rp)]
-                            inner = _vmin(inner, None if cv is None else 1 + cv)
-                    if inner is None:
-                        saw_escape = True
-                    elif inner > best_outer:
-                        best_outer = inner
-                new = None if saw_escape else best_outer
-            else:
-                new = None
-                for mv in cop_moves[t]:
-                    if r in mv:
-                        new = _vmin(new, 1)
-                        continue
-                    mvs = set(mv)
-                    inner = -1
-                    saw_escape = False
-                    for rp in closed[r]:
-                        if rp in mvs:
-                            continue
-                        cv = val[(mv, rp)]
-                        if cv is None:
-                            saw_escape = True
-                            break
-                        if cv > inner:
-                            inner = cv
-                    if not saw_escape:
-                        new = _vmin(new, 1 + inner)
-            if new != val[key]:
-                val[key] = new
-                changed = True
-
-    # Project onto canonical tuples, checking permutation invariance.
-    canonical: dict[tuple[tuple[int, ...], int], CaptureValue] = {}
-    for (t, r), v in val.items():
-        ck = (tuple(sorted(t)), r)
-        cv: CaptureValue = ESCAPE if v is None else v
-        if ck in canonical:
-            if canonical[ck] != cv and not (is_escape(canonical[ck]) and is_escape(cv)):
-                raise AssertionError(
-                    f"value not invariant under cop permutation at {ck}: "
-                    f"{canonical[ck]} vs {cv}"
-                )
-        else:
-            canonical[ck] = cv
-
-    capture_time: CaptureValue = ESCAPE
-    central: list[tuple[int, ...]] = []
-    for t in itertools.combinations_with_replacement(range(n), k):
-        ts = set(t)
-        worst: CaptureValue = 0
-        for r in range(n):
-            if r in ts:
-                continue
-            v = canonical[(t, r)]
-            if is_escape(v):
-                worst = ESCAPE
-                break
-            if v > worst:  # type: ignore[operator]
-                worst = v
-        if is_escape(worst):
-            continue
-        if is_escape(capture_time) or worst < capture_time:  # type: ignore[operator]
-            capture_time = worst
-            central = [t]
-        elif worst == capture_time:
-            central.append(t)
-
-    table = ValueTable(g, k, order, canonical)
-    return SolveResult(capture_time=capture_time, central_tuples=tuple(central), table=table)
-
-
 # --- optimal strategy extraction ---------------------------------------------
 
 
 def _both_halves(result: SolveResult):
     """The (cops-to-move, robber-to-move) halves an optimal strategy reads."""
-    table = result.table
-    if table.other is None:
-        raise InputError("optimal strategies play from a solve() result; this table has one half")
-    return table.half(Side.COPS), table.half(Side.ROBBER)
+    halves = result.table.half(Side.COPS), result.table.half(Side.ROBBER)
+    if not all(isinstance(half, _Half) for half in halves):
+        raise InputError("optimal strategies play from a solve() result, whose halves index replies")
+    return halves
 
 
 class OptimalCop(CopStrategy):

@@ -213,6 +213,7 @@ def test_criterion_8_solver_self_consistency():
         assert fast.capture_time == slow.capture_time
         assert fast.central_tuples == slow.central_tuples
         assert fast.table.value == slow.table.value
+        assert fast.table.other == slow.table.other
         assert _no_escape_state_if_captured(fast)
         assert _self_play_matches(g, fast)
     rng = SplitMix64(88)
@@ -222,6 +223,7 @@ def test_criterion_8_solver_self_consistency():
         slow = naive_value_iteration(g, 2)
         assert fast.capture_time == slow.capture_time
         assert fast.table.value == slow.table.value
+        assert fast.table.other == slow.table.other
         assert _no_escape_state_if_captured(fast)
         assert _self_play_matches(g, fast)
     announce(8, "solve == naive oracle, exhaustive |V|<=6 + k=2 sample", started)

@@ -40,8 +40,9 @@ def test_claim_statuses_and_lines():
 
 
 def _qualifying_by_subsets(g):
-    # Independent 4-subset brute force used as the test oracle.
-    out = set()
+    # Independent 4-subset brute force used as the test oracle: the sorted
+    # vertices of the qualifying cycles, each vertex once per cycle.
+    out = []
     for sub in itertools.combinations(range(g.vertex_count), 4):
         degs = [sum(1 for w in sub if g.has_edge(v, w)) for v in sub]
         if degs != [2, 2, 2, 2]:
@@ -51,13 +52,12 @@ def _qualifying_by_subsets(g):
             for v in range(g.vertex_count)
         ):
             continue
-        out.update(sub)
-    return out
+        out.extend(sub)
+    return sorted(out)
 
 
 def test_qualifying_c4_on_cycle4():
-    got = qualifying_c4_vertices(cycle_graph(4))
-    assert sorted({u for u, _ in got}) == [0, 1, 2, 3]
+    assert qualifying_c4_vertices(cycle_graph(4)) == [0, 1, 2, 3]
 
 
 def test_qualifying_c4_on_tree_is_empty():
@@ -65,11 +65,12 @@ def test_qualifying_c4_on_tree_is_empty():
 
 
 def test_qualifying_c4_grid_corner_square():
-    g = grid_graph(3, 3)
-    got = qualifying_c4_vertices(g)
-    vertices = {u for u, _ in got}
-    assert 0 in vertices
-    assert any(set(cycle) == {0, 1, 3, 4} for _, cycle in got)
+    # The 3x3 grid's four unit squares all qualify: a corner lies on one
+    # of them, and the centre on all four.
+    got = qualifying_c4_vertices(grid_graph(3, 3))
+    assert got.count(0) == 1
+    assert got.count(4) == 4
+    assert len(got) == 16
 
 
 def test_qualifying_c4_matches_subset_oracle():
@@ -81,17 +82,19 @@ def test_qualifying_c4_matches_subset_oracle():
         cartesian_product(random_tree(4, 2), random_tree(3, 5)).flat,
         star_graph(5),
     ]:
-        got = {u for u, _ in qualifying_c4_vertices(g)}
-        assert got == _qualifying_by_subsets(g)
+        assert qualifying_c4_vertices(g) == _qualifying_by_subsets(g)
 
 
 def test_qualifying_cycles_are_induced():
-    g = grid_graph(4, 4)
-    for _, cycle in qualifying_c4_vertices(g):
-        a, b, c, d = cycle
-        assert g.has_edge(a, b) and g.has_edge(b, c)
-        assert g.has_edge(c, d) and g.has_edge(d, a)
-        assert not g.has_edge(a, c) and not g.has_edge(b, d)
+    # The induced 4-cycles of a grid are its unit squares, and each
+    # qualifies: no vertex outside has more than one neighbor on it.
+    rows = cols = 4
+    squares = [
+        (i * cols + j, i * cols + j + 1, (i + 1) * cols + j, (i + 1) * cols + j + 1)
+        for i in range(rows - 1)
+        for j in range(cols - 1)
+    ]
+    assert qualifying_c4_vertices(grid_graph(rows, cols)) == sorted(itertools.chain(*squares))
 
 
 def test_lemma3_on_grid3x3():
@@ -122,7 +125,7 @@ def test_lemma3_explicit_corners_of_p4_x_p3():
     g = prod.flat
     report = check_lemma3(g, *_slim(solve(g, 2)))
     assert report.passed
-    vertices = {u for u, _ in qualifying_c4_vertices(g)}
+    vertices = set(qualifying_c4_vertices(g))
     assert prod.flat_of(0, 0) in vertices
     assert prod.flat_of(3, 2) in vertices
 

@@ -166,6 +166,15 @@ def test_solve_graph_is_a_directory_is_input_error(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_solve_graph_file_not_utf8_is_input_error(capsys, tmp_path):
+    gfile = tmp_path / "binary.g"
+    gfile.write_bytes(b"3 2\n0 1\n\xff\xfe\x00\n")
+    rc, out, err = run_cli(capsys, "solve", "--graph", str(gfile), "--cops", "1")
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: graph source {str(gfile)!r}: not UTF-8") and "Traceback" not in err
+
+
 def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
     import treecops.cli as cli
 

@@ -30,7 +30,7 @@ from treecops import (
 )
 from treecops.engine import ResourceBudgetError
 from treecops.generators import SplitMix64
-from treecops.solver import _closed_lists, _cop_configuration_space
+from treecops.solver import DEFAULT_STATE_BUDGET, _closed_lists, _cop_configuration_space
 
 _TREE4XTREE3 = cartesian_product(random_tree(4, 21), random_tree(3, 22)).flat
 
@@ -111,6 +111,15 @@ def test_budget_error_carries_count():
     assert exc.value.count > 10
 
 
+@pytest.mark.parametrize("k", [700, 10**9])
+def test_huge_cop_count_is_refused_before_any_power(k):
+    # (max degree + 1)^k overflowed a float at k = 700 and took forever at
+    # k = 10^9; the count of states and tuple entries refuses it first.
+    with pytest.raises(ResourceBudgetError) as exc:
+        solve(path_graph(3), k)
+    assert exc.value.count > DEFAULT_STATE_BUDGET
+
+
 def test_naive_budget_error():
     with pytest.raises(ResourceBudgetError):
         naive_value_iteration(grid_graph(4, 4), 2, state_budget=100)
@@ -135,6 +144,7 @@ def test_naive_agrees_with_solve_on_fixed_instances():
             assert fast.capture_time == slow.capture_time
             assert fast.central_tuples == slow.central_tuples
             assert fast.table.value == slow.table.value
+            assert fast.table.other == slow.table.other
 
 
 def _random_connected_graph(n: int, seed: int):
@@ -158,6 +168,7 @@ def test_naive_agrees_with_solve_random(n, seed, k):
         slow = naive_value_iteration(g, k, order)
         assert fast.capture_time == slow.capture_time
         assert fast.table.value == slow.table.value
+        assert fast.table.other == slow.table.other
 
 
 def test_monotonicity_in_cop_count():
@@ -192,9 +203,9 @@ def test_optimal_cop_rejects_escape():
 @pytest.mark.parametrize("strategy", [OptimalCop, OptimalRobber])
 @pytest.mark.parametrize("order", list(MoveOrder))
 def test_optimal_strategies_reject_a_one_half_table(strategy, order):
-    # The naive oracle keeps only the half of the side that moves first;
-    # a reply needs both, so construction refuses it instead of the first
-    # reply failing with a TypeError or an AttributeError.
+    # A reply indexes the halves that solve() builds; the naive oracle's
+    # halves are plain dicts, so construction refuses them instead of the
+    # first reply failing with a TypeError or an AttributeError.
     with pytest.raises(InputError, match="solve"):
         strategy(naive_value_iteration(path_graph(4), 1, order))
 

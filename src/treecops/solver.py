@@ -4,9 +4,9 @@ State space and conventions
 ---------------------------
 
 Values live on two-ply boundary states (cop tuple, robber vertex) with
-the robber uncaptured; cop tuples are canonicalized as sorted multisets
-because the value function cannot distinguish the cops.  Captured
-states are implicitly 0 and never stored.
+the robber uncaptured.  Results are keyed by sorted cop tuples, as the
+value function cannot distinguish the cops; the pass itself runs over
+ordered tuples.  Captured states are implicitly 0 and never stored.
 
 For robber-first rounds the stored value V is taken with the robber to
 move and satisfies
@@ -28,44 +28,58 @@ placements (0 when the robber must place on a cop).
 Algorithm
 ---------
 
-One level-synchronous pass over Python-int bitmasks of robber vertices
-computes both halves of the recurrence.  For each sorted cop tuple c it
-keeps F[c], the states with the cops to move that are resolved (W, or
-the inner min of V), and R[c], those with the robber to move (V, or
-the inner max of W).  Level 1 sets F[c] = N[cop(c)] minus cop(c).  At
-level t every tuple whose F grew gets R[c] = free(c) minus
-N[free(c) minus F[c]]; the bits R[c'] gained are then pushed to each c
-in M(c') (M is symmetric, so move lists double as predecessor lists)
-and enter F[c] at level t + 1.  The pass stops when no R grows; the
-bits never set are ESCAPE.  N[x] is the closed-neighbourhood dilation,
-read from ceil(n/8) lookup tables of at most 256 masks, one per byte of
-x, built per solve.
+One level-synchronous pass over Python-int bitsets computes both halves
+of the recurrence.  The layout is robber-major: for each robber vertex
+r, each half keeps one n^k-bit int over *ordered* cop tuples, bit
+p = sum of c_i * n^i standing for c = (c_0, ..., c_{k-1}).  F[r] holds
+the tuples whose state against r is resolved with the cops to move (W,
+or the inner min of V), R[r] those resolved with the robber to move (V,
+or the inner max of W); both also hold the tuples with a cop on r, so
+captured states need no mask.  Level 1 sets F[r] to the tuples with a
+cop in N[r].  At level t, every r next to a column whose F grew gets
 
-The move relation M is built without sorting or hashing a tuple per
-move.  A nested rank table, pos[x1]...[xk] = index of
-sorted((x1, ..., xk)), is built once per solve; it answers all n^k
-ordered tuples, but rows of equal sorted prefixes are one shared list.
-The moves of c are read by indexing it row by row over the cops' closed
-neighbourhoods, and one set per tuple removes duplicates before the
-list is stored.
+    R[r] = AND over u in N[r] of F[u]
+
+(one AND per closed-neighbour pair), and the tuples R[r] gained are
+dilated by one cop move and enter F[r] at level t + 1.  The move
+relation is the product of closed neighbourhoods, so the dilation goes
+one coordinate at a time; it is symmetric, so the tuples one move from
+the gain are also those with a move into it.  Along coordinate i each
+distinct edge offset d = u - v gives one (mask, shift) pair: the mask
+holds the tuples whose i-th vertex x has the neighbour x + d, and the
+shift is d * n^i.  These pairs, built per solve, are the whole move
+relation: no move list or rank table is stored.  The pass stops when no
+R grows; the bits never set are ESCAPE.
+
+The offsets depend on the vertex labels.  When the BFS order from a
+vertex farthest from 0 has fewer distinct offsets than the given labels,
+the pass runs on it, and only the reads of :class:`_Half` map labels
+back.  When ceil(n^k / 8) byte-table lookups cost less than the shifts
+(in practice at k = 1), the dilation ORs, for each byte of the set, one
+of 256 precomputed masks instead.
 
 A state's value is the level at which its bit appears.  Each half keeps
-the values as bit planes (bit j of the value of (c, r) is bit r of
-plane j of c), so the pass does no per-state work.  The move order only
-selects the half a result exposes, the one of the side that moves
-first (:meth:`ValueTable.half`): R for robber-first and F for
-cops-first.  Both capture times come from one pass, and the optimal
-strategies read both halves by one rule: look up the value of the best
-reply in the mover's half, then take the first reply that attains it
-in the other half.  R(c, r) is the max over the free r' in N[r] of
-F(c, r'), so the robber's reply costs one R lookup for its value v and
-a scan of N[r] for the first free r' with F(c, r') = v (ESCAPE
-included).  Because the bits R[c'] gains reach F[c] for every c in
-M(c'), F(c, r) is 1 + the min over c' in M(c) of V(c', r), or 1 when r
-is in N[c] minus c; so the cops' reply costs one F lookup for its value
-t, then a scan of the ordered replies for the first that lands on r
-(t = 1) or has robber-to-move value t - 1.  The naive oracle that
-checks both halves independently is :mod:`treecops.oracle`.
+the values as bit planes (bit j of the value of (c, r) is bit p of
+plane j of column r), so the pass does no per-state work, and after the
+pass each column becomes ``bytes``, so that a lookup is O(1).  Each
+half also keeps the union of its gains at every level and the tuples
+with every free state resolved, which give the capture time and the
+central tuples without reading a state.  The move order only selects
+the half a result exposes, the one of the side that moves first
+(:meth:`ValueTable.half`): R for robber-first and F for cops-first.
+Both capture times come from one pass, and the optimal strategies read
+both halves by one rule: look up the value of the best reply in the
+mover's half, then take the first reply that attains it in the other
+half.  R(c, r) is the max over the free r' in N[r] of F(c, r'), so the
+robber's reply costs one R lookup for its value v and a scan of N[r]
+for the first free r' with F(c, r') = v (ESCAPE included).  Because the
+bits R[r] gains reach F[r] at every tuple one move away, F(c, r) is
+1 + the min over c' in M(c) of V(c', r), or 1 when r is in N[c] minus
+c; so the cops' reply costs one F lookup for its value t, then a scan
+of the ordered replies for the first that lands on r (t = 1) or has
+robber-to-move value t - 1.  Both read the ordered position of the cop
+tuple, so neither sorts it.  The naive oracle that checks both halves
+independently is :mod:`treecops.oracle`.
 
 Inputs are immutable, a solve owns its tables exclusively until it
 returns, and returned results are immutable, so independent solves can
@@ -73,10 +87,12 @@ run concurrently and results can be shared freely.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable
 
 from .engine import (
@@ -93,6 +109,7 @@ from .engine import (
     _HALF_MOVES,
     is_escape,
 )
+from .graphs import bfs_distances
 
 DEFAULT_STATE_BUDGET = 50_000_000
 
@@ -103,54 +120,153 @@ StateKey = tuple[tuple[int, ...], int]
 class _Half(Mapping):
     """One half of a pass as a read-only {(sorted cop tuple, robber): value} map.
 
-    Bit r of ``done[i]`` marks (tuples[i], r) resolved; the other free
-    robber vertices escape.  Bit j of a resolved value is bit r of
-    ``planes[j][i]``, and ``top[i]`` is the largest value of tuple i.
+    Columns are indexed by the pass's label of the robber vertex, and
+    bit p of a column by the ordered cop tuple at position p (see
+    :meth:`position`).  Bit p of ``done[r]`` marks the state resolved;
+    the other free states escape.  Bit j of a resolved value is bit p
+    of ``planes[j][r]``.  ``unions[t]`` holds the positions that gained
+    a state at level t, and ``complete`` those with every free state
+    resolved; :func:`_capture` reads only these two.
     """
 
-    tuples: list[tuple[int, ...]]
-    index: dict[tuple[int, ...], int]
-    free: list[int]
+    n: int
+    k: int
+    label: list[int]
+    weights: list[list[int]]
     size: int
-    done: list[int]
-    top: list[int]
-    planes: list[list[int]]
+    done: list[bytes]
+    planes: list[list[bytes]]
+    unions: list[int]
+    complete: int
 
-    def __getitem__(self, key: StateKey) -> CaptureValue:
-        cops, r = key
-        i = self.index.get(cops)
-        if i is None or r < 0 or not self.free[i] >> r & 1:
-            raise KeyError(key)
-        if not self.done[i] >> r & 1:
+    def position(self, cops) -> int:
+        """The position of an ordered cop tuple: sum of label(c_i) * n**i."""
+        return sum(map(getitem, self.weights, cops))
+
+    def at(self, p: int, r: int) -> CaptureValue:
+        """Value of the free state (ordered tuple at position p, robber r)."""
+        r = self.label[r]
+        byte, bit = p >> 3, p & 7
+        if not self.done[r][byte] >> bit & 1:
             return ESCAPE
         value = 0
         for j, plane in enumerate(self.planes):
-            if plane[i] >> r & 1:
-                value |= 1 << j
+            value |= (plane[r][byte] >> bit & 1) << j
         return value
 
+    def __getitem__(self, key: StateKey) -> CaptureValue:
+        cops, r = key
+        n = self.n
+        if type(cops) is not tuple or len(cops) != self.k or not 0 <= r < n or r in cops:
+            raise KeyError(key)
+        low = 0
+        for c in cops:
+            if not low <= c < n:
+                raise KeyError(key)
+            low = c
+        return self.at(self.position(cops), r)
+
     def __iter__(self):
-        for t, free in zip(self.tuples, self.free):
-            for r in range(free.bit_length()):
-                if free >> r & 1:
+        tuples = list(itertools.combinations_with_replacement(range(self.n), self.k))
+        for r in range(self.n):
+            for t in tuples:
+                if r not in t:
                     yield (t, r)
 
     def __len__(self) -> int:
         return self.size
 
-    def attains(self, i: int, r: int, v: CaptureValue) -> bool:
-        """Whether free state (tuples[i], r) has value v: v >= 1, or ESCAPE.
+    def items(self):
+        return _HalfItems(self)
+
+    def values(self):
+        return _HalfValues(self)
+
+    def _decoded(self, keyed: bool):
+        """Lists of values, or of (key, value) pairs, in ``__iter__`` order.
+
+        One list per group of robbers: the group's done bits and planes
+        become strings of "0"/"1", one character per (robber, position),
+        and the characters of one state, read across them, map to its
+        value.  A group holds about 2^16 positions, so small tables are
+        decoded in one go and large ones never as a whole.
+        """
+        n = self.n
+        tuples = list(itertools.combinations_with_replacement(range(n), self.k))
+        spots = list(map(self.position, tuples))
+        stride = 8 * len(self.done[0])
+        value = _plane_values(len(self.planes))
+        group = max(1, (1 << 16) // stride)
+        for lo in range(0, n, group):
+            robbers = range(lo, min(n, lo + group))
+            columns = []
+            for column in [self.done, *self.planes]:
+                bits = b"".join([column[self.label[r]] for r in robbers])
+                columns.append(format(int.from_bytes(bits, "little"), f"0{len(bits) * 8}b")[::-1])
+            values = list(map(value.__getitem__, zip(*columns)))
+            if keyed:
+                yield [((t, r), values[i * stride + p]) for i, r in enumerate(robbers)
+                       for t, p in zip(tuples, spots) if r not in t]
+            else:
+                yield [values[i * stride + p] for i, r in enumerate(robbers)
+                       for t, p in zip(tuples, spots) if r not in t]
+
+    def attains(self, p: int, r: int, v: CaptureValue) -> bool:
+        """Whether free state (ordered tuple at position p, r) has value v: v >= 1, or ESCAPE.
 
         Compares plane by plane and stops at the first bit that differs.
         An unresolved state reads 0 on every plane, so it matches no int.
         """
+        r = self.label[r]
+        byte, bit = p >> 3, p & 7
         if v is ESCAPE:
-            return not self.done[i] >> r & 1
+            return not self.done[r][byte] >> bit & 1
         for plane in self.planes:
-            if (plane[i] >> r ^ v) & 1:
+            if (plane[r][byte] >> bit ^ v) & 1:
                 return False
             v >>= 1
         return not v
+
+    def tuples_at(self, positions: int) -> tuple[tuple[int, ...], ...]:
+        """The sorted cop tuples, in original labels, of the set bits of ``positions``."""
+        vertex = [0] * self.n
+        for v, x in enumerate(self.label):
+            vertex[x] = v
+        n, found = self.n, set()
+        bits = bin(positions)[:1:-1]
+        p = bits.find("1")
+        while p >= 0:
+            cops, q = [], p
+            for _ in range(self.k):
+                q, x = divmod(q, n)
+                cops.append(vertex[x])
+            found.add(tuple(sorted(cops)))
+            p = bits.find("1", p + 1)
+        return tuple(sorted(found))
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_values(planes: int) -> dict[tuple[str, ...], CaptureValue]:
+    """Value of a position from its ("done", plane 0, plane 1, ...) bits as characters."""
+    return {bits: int("0" + "".join(reversed(bits[1:])), 2) if bits[0] == "1" else ESCAPE
+            for bits in itertools.product("01", repeat=1 + planes)}
+
+
+class _HalfItems(ItemsView):
+    """``_Half.items()``: decodes whole robber columns, not state by state."""
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._mapping._decoded(keyed=True))
+
+
+class _HalfValues(ValuesView):
+    """``_Half.values()``, decoded like ``items()``; ``in`` reads it too."""
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._mapping._decoded(keyed=False))
+
+    def __contains__(self, value) -> bool:
+        return any(v is value or v == value for v in self)
 
 
 @dataclass(frozen=True)
@@ -198,6 +314,8 @@ def _closed_lists(g: Graph) -> list[tuple[int, ...]]:
     return [g.closed_neighborhood(v) for v in range(g.vertex_count)]
 
 
+# The pass does not use these two: the budget reads _estimate_pairs, and
+# bench/tracer.py wraps both for its per-layer counts.
 def _cop_configuration_space(g: Graph, k: int, closed):
     """Sorted cop tuples, their index, their cop bitmasks, and the move relation.
 
@@ -240,87 +358,222 @@ def _estimate_pairs(g: Graph, k: int) -> int:
     return math.comb(n + k - 1, k) * (2 * g.edge_count + n + n * branch)
 
 
+def _offsets(g: Graph, label) -> set[int]:
+    """The distinct label differences label(u) - label(v) over the edges uv, both ways."""
+    return {label[u] - label[v] for v, nbrs in enumerate(g.adjacency) for u in nbrs}
+
+
+def _layout(g: Graph, k: int) -> tuple[list[int] | None, str]:
+    """The pass's vertex labels (None: the given ones) and dilation encoding.
+
+    It picks whichever costs least.  A dilation by offsets costs k *
+    (number of distinct edge offsets) masked shifts; one by byte tables
+    costs ceil(n^k / 8) lookups.  The offsets depend on the labels, so
+    the BFS order from a vertex farthest from 0 (a peripheral vertex of
+    a tree) replaces the given labels when it has fewer.  Byte tables
+    need no relabelling; they hold 2^8 * ceil(n^k / 8) masks, so the
+    cost rule only picks them where they are small, in practice at k = 1.
+    """
+    n = g.vertex_count
+    lookups = -(-n ** k // 8)
+    if lookups <= 2 * k:  # no connected graph on two or more vertices has fewer offsets
+        return None, "bytes"
+    dist = bfs_distances(g, 0)
+    order = [dist.index(max(dist))]
+    bfs = [-1] * n
+    bfs[order[0]] = 0
+    for u in order:  # grows while it is read: the BFS queue
+        for v in g.adjacency[u]:
+            if bfs[v] < 0:
+                bfs[v] = len(order)
+                order.append(v)
+    given, ordered = len(_offsets(g, range(n))), len(_offsets(g, bfs))
+    if lookups <= k * min(given, ordered):
+        return None, "bytes"
+    return (bfs, "shifts") if ordered < given else (None, "shifts")
+
+
+def _tile(block: int, period: int, count: int) -> int:
+    """``count`` copies of ``block``, ``period`` bits apart."""
+    out = at = 0
+    while count:
+        if count & 1:
+            out |= block << at
+            at += period
+        count >>= 1
+        if count:
+            block |= block << period
+            period *= 2
+    return out
+
+
+def _dilation(closed: list[tuple[int, ...]], k: int, encoding: str):
+    """Cop-move dilation on sets of ordered k-tuples over vertices 0..n-1.
+
+    Bit p = sum of c_i * n**i stands for the tuple c.  The returned
+    function maps a set S to the tuples one cop move away from S: the
+    move relation is the product of the closed neighbourhoods
+    ``closed``, which is symmetric, so this is also the set of tuples
+    with a move into S.  ``"shifts"`` dilates one coordinate at a time,
+    by one (mask, shift) pair per edge offset d: the mask holds the
+    tuples whose i-th vertex x has neighbour x + d, and the shift is
+    d * n**i.  ``"bytes"`` ORs one precomputed mask per byte of S.
+    """
+    n = len(closed)
+    size = n ** k
+    if encoding == "bytes":
+        near = [1]  # near[p]: the moves of the tuple at p, one coordinate more each round
+        for i in range(k):
+            bit = [1 << y * n ** i for y in range(n)]
+            # The shifted copies of m < 2^(n^i) do not overlap: a product is their OR.
+            near = [m * sum(map(bit.__getitem__, nbrs)) for nbrs in closed for m in near]
+        tables = []  # tables[j][b] = dilation of b << 8j
+        for lo in range(0, size, 8):
+            table = [0]
+            for mask in near[lo:lo + 8]:
+                table += [x | mask for x in table]
+            tables.append(table)
+        width = len(tables)
+        if width == 1:
+            return tables[0].__getitem__
+
+        def dilate(s: int) -> int:
+            reach = 0
+            for table, b in zip(tables, s.to_bytes(width, "little")):
+                if b:
+                    reach |= table[b]
+            return reach
+
+        return dilate
+    bases: dict[int, int] = {}  # offset d -> the vertices x with neighbour x + d
+    for x, nbrs in enumerate(closed):
+        for y in nbrs:
+            if y != x:
+                bases[y - x] = bases.get(y - x, 0) | 1 << x
+    axes = []
+    for i in range(k):
+        w = n ** i
+        block = (1 << w) - 1
+        ups, downs = [], []
+        for d, base in sorted(bases.items()):
+            pattern = sum(block << x * w for x in range(n) if base >> x & 1)
+            mask = _tile(pattern, w * n, size // (w * n))
+            (ups if d > 0 else downs).append((mask, abs(d) * w))
+        axes.append((ups, downs))
+
+    def dilate(s: int) -> int:
+        for ups, downs in axes:
+            out = s
+            for mask, by in ups:
+                out |= (s & mask) << by
+            for mask, by in downs:
+                out |= (s & mask) >> by
+            s = out
+        return s
+
+    return dilate
+
+
 def _retrograde(g: Graph, k: int) -> dict[Side, _Half]:
     """The two halves of one level-synchronous pass, by the side to move."""
     n = g.vertex_count
+    size = n ** k
+    label, encoding = _layout(g, k)
     closed = _closed_lists(g)
-    tuples, index, masks, moves = _cop_configuration_space(g, k, closed)
-    T = len(tuples)
-    near = [sum(1 << u for u in closed[v]) for v in range(n)]
-    tables = []  # tables[j][b] = N[b << 8j]
-    for lo in range(0, n, 8):
-        table = [0]
-        for mask in near[lo:lo + 8]:
-            table += [x | mask for x in table]
-        tables.append(table)
-    width = len(tables)
-    free = [((1 << n) - 1) ^ cop for cop in masks]
-    first = []  # first = F, last = R
-    for t, cop in zip(tuples, masks):
-        cov = 0
-        for c in t:
-            cov |= near[c]
-        first.append(cov & ~cop)
-    last = [0] * T
-    top_first, top_last = [1 if f else 0 for f in first], [0] * T
-    planes_first, planes_last = [first[:]], [[0] * T]
-    dirty = [i for i in range(T) if first[i]]
+    if label is None:
+        label = list(range(n))
+    else:
+        given, closed = closed, [()] * n
+        for v, nbrs in enumerate(given):
+            closed[label[v]] = tuple(sorted(label[u] for u in nbrs))
+    dilate = _dilation(closed, k, encoding)
+    on = [0] * n  # on[v]: the tuples with a cop on v
+    for i in range(k):
+        w = n ** i
+        row = _tile((1 << w) - 1, w * n, size // (w * n))
+        for v in range(n):
+            on[v] |= row << v * w
+    # F[r] and R[r]: the positions resolved with the cops (F) or the
+    # robber (R) to move against robber r, or captured.  F starts with
+    # the tuples that have a cop in N[r].
+    F = [0] * n
+    for r, nbrs in enumerate(closed):
+        for u in nbrs:
+            F[r] |= on[u]
+    R = on[:]
+    del on
+    gain_F = [F[r] ^ R[r] for r in range(n)]
+    planes_F, planes_R = [gain_F], [[0] * n]
+    unions_F, unions_R = [0, 0], [0]
+    for gain in gain_F:
+        unions_F[1] |= gain
+    changed = [r for r in range(n) if gain_F[r]]
     level = 1
-    while dirty:
+    while changed:
         # Robber to move: lost once every free vertex of N[r] is resolved.
-        on = [p for j, p in enumerate(planes_last) if level >> j & 1]
-        grew = []
-        for i in dirty:
-            reach = 0
-            for table, b in zip(tables, (free[i] & ~first[i]).to_bytes(width, "little")):
-                if b:
-                    reach |= table[b]
-            gain = free[i] & ~reach & ~last[i]
+        # R[r] is a subset of that AND, as F only grows.
+        todo = {r for v in changed for r in closed[v]}
+        on_planes = [p for j, p in enumerate(planes_R) if level >> j & 1]
+        union, grew = 0, []
+        for r in todo:
+            lost = -1
+            for u in closed[r]:
+                lost &= F[u]
+            gain = lost ^ R[r]
             if gain:
-                last[i] |= gain
-                top_last[i] = level
-                for p in on:
-                    p[i] |= gain
-                grew.append((i, gain))
+                R[r] = lost
+                for p in on_planes:
+                    p[r] |= gain
+                union |= gain
+                grew.append((r, gain))
+        unions_R.append(union)
         level += 1
-        if level.bit_length() > len(planes_first):
-            planes_first.append([0] * T)
-            planes_last.append([0] * T)
+        if level.bit_length() > len(planes_F):
+            planes_F.append([0] * n)
+            planes_R.append([0] * n)
         # Cops to move: capture follows a reply into a lost state.
-        push = [0] * T
-        for i, gain in grew:
-            for j in moves[i]:
-                push[j] |= gain
-        on = [p for j, p in enumerate(planes_first) if level >> j & 1]
-        dirty = []
-        for i in itertools.compress(range(T), push):
-            gain = push[i] & free[i] & ~first[i]
+        on_planes = [p for j, p in enumerate(planes_F) if level >> j & 1]
+        union, changed = 0, []
+        for r, gain in grew:
+            won = F[r] | dilate(gain)
+            gain = won ^ F[r]
             if gain:
-                first[i] |= gain
-                top_first[i] = level
-                for pl in on:
-                    pl[i] |= gain
-                dirty.append(i)
-    size = sum(f.bit_count() for f in free)
-    return {
-        Side.COPS: _Half(tuples, index, free, size, first, top_first, planes_first),
-        Side.ROBBER: _Half(tuples, index, free, size, last, top_last, planes_last),
-    }
+                F[r] = won
+                for p in on_planes:
+                    p[r] |= gain
+                union |= gain
+                changed.append(r)
+        unions_F.append(union)
+    weights = [[x * n ** i for x in label] for i in range(k)]
+    count = n * math.comb(n + k - 2, k)  # free states: r and a multiset over the others
+
+    def half(done: list[int], planes: list[list[int]], unions: list[int]) -> _Half:
+        complete = (1 << size) - 1
+        for column in done:
+            complete &= column
+        width = -(-size // 8)
+        for column in [done, *planes]:  # one list at a time, so never all ints and all bytes
+            column[:] = [bits.to_bytes(width, "little") for bits in column]
+        return _Half(n, k, label, weights, count, done, planes, unions, complete)
+
+    return {Side.COPS: half(F, planes_F, unions_F), Side.ROBBER: half(R, planes_R, unions_R)}
 
 
 def _capture(half: _Half) -> tuple[CaptureValue, tuple[tuple[int, ...], ...]]:
-    """Capture time and central tuples: min over tuples of the max over robbers."""
-    capture_time: CaptureValue = ESCAPE
-    central: list[tuple[int, ...]] = []
-    for t, free, done, worst in zip(half.tuples, half.free, half.done, half.top):
-        if done != free:
-            continue
-        if is_escape(capture_time) or worst < capture_time:  # type: ignore[operator]
-            capture_time = worst
-            central = [t]
-        elif worst == capture_time:
-            central.append(t)
-    return capture_time, tuple(central)
+    """Capture time and central tuples: min over tuples of the max over robbers.
+
+    A complete position's largest value is the last level whose gain
+    union holds it, so the levels are read from the top down.
+    """
+    rest, capture_time, central = half.complete, ESCAPE, 0
+    for level in range(len(half.unions) - 1, 0, -1):
+        hit = rest & half.unions[level]
+        if hit:
+            rest ^= hit
+            capture_time, central = level, hit
+    if rest:  # a cop on every vertex captures at placement
+        capture_time, central = 0, rest
+    return capture_time, half.tuples_at(central)
 
 
 def solve(
@@ -398,7 +651,8 @@ class OptimalCop(CopStrategy):
 
     def respond(self, g: Graph, state: GameState, memory):
         r = state.robber
-        t = self._cops_to_move[(tuple(sorted(state.cops)), r)]
+        before, after = self._cops_to_move, self._robber_to_move
+        t = before.at(before.position(state.cops), r)
         # A finite capture time leaves no state of either half at ESCAPE:
         # the cops can first walk to a central tuple.
         if is_escape(t):
@@ -409,9 +663,8 @@ class OptimalCop(CopStrategy):
                 if r in mv:
                     return mv, memory
         else:
-            after, index = self._robber_to_move, self._robber_to_move.index
             for mv in moves:
-                if after.attains(index[tuple(sorted(mv))], r, t - 1):
+                if after.attains(after.position(mv), r, t - 1):
                     return mv, memory
         raise RuntimeError(f"no cop reply from {state.cops}, {r} attains value {t}")
 
@@ -438,13 +691,12 @@ class OptimalRobber(RobberStrategy):
         return values.index(ESCAPE if ESCAPE in values else max(values)), None
 
     def respond(self, g: Graph, state: GameState, memory):
-        r = state.robber
-        cops = tuple(sorted(state.cops))
-        v = self._robber_to_move[(cops, r)]
+        r, cops = state.robber, state.cops
         after = self._cops_to_move
-        i = after.index[cops]
+        p = after.position(cops)
+        v = self._robber_to_move.at(p, r)
         # N[r] holds r, which is free while the robber is uncaptured.
         for rp in self._closed[r]:
-            if rp not in cops and after.attains(i, rp, v):
+            if rp not in cops and after.attains(p, rp, v):
                 return rp, memory
         raise RuntimeError(f"no robber reply from {state.cops}, {r} attains value {v}")

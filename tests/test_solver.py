@@ -30,9 +30,26 @@ from treecops import (
 )
 from treecops.engine import ResourceBudgetError
 from treecops.generators import SplitMix64
-from treecops.solver import DEFAULT_STATE_BUDGET, _closed_lists, _cop_configuration_space
+from treecops.solver import (
+    DEFAULT_STATE_BUDGET,
+    _closed_lists,
+    _cop_configuration_space,
+    _dilation,
+    _layout,
+)
 
 _TREE4XTREE3 = cartesian_product(random_tree(4, 21), random_tree(3, 22)).flat
+
+
+def _relabelled(g, seed):
+    """A copy of g with vertex v renamed perm[v], and perm, for a seeded shuffle."""
+    n = g.vertex_count
+    perm = list(range(n))
+    rng = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()]), perm
 
 
 def test_path4_one_cop():
@@ -460,3 +477,91 @@ def test_cop_move_relation_matches_definition(name, k):
     # Move lists double as predecessor lists in the retrograde pass.
     relation = {(i, j) for i, mv in enumerate(moves) for j in mv}
     assert relation == {(j, i) for i, j in relation}
+
+
+_DILATION_GRAPHS = {
+    "grid:3x4": grid_graph(3, 4),
+    "path:3": path_graph(3),
+    "tree4xtree3": _TREE4XTREE3,
+    "shuffled grid:3x4": _relabelled(grid_graph(3, 4), 5)[0],
+}
+
+
+@pytest.mark.parametrize("encoding", ["bytes", "shifts"])
+@pytest.mark.parametrize("name, k", [(name, k) for name in _DILATION_GRAPHS for k in (1, 2, 3)])
+def test_dilation_matches_definition(name, k, encoding):
+    # Bit p = sum of c_i * n**i stands for the ordered tuple c; one cop
+    # move from c reaches exactly the product of the closed neighbourhoods.
+    g = _DILATION_GRAPHS[name]
+    n = g.vertex_count
+    closed = _closed_lists(g)
+    dilate = _dilation(closed, k, encoding)
+
+    # weighted[i][x]: the positions' terms for vertex x at coordinate i.
+    weighted = [[[y * n ** i for y in closed[x]] for x in range(n)] for i in range(k)]
+    single = {}
+    for c in itertools.product(range(n), repeat=k):
+        p = sum(x * n ** i for i, x in enumerate(c))
+        got = dilate(1 << p)
+        want = sum(1 << sum(m) for m in itertools.product(*(weighted[i][x] for i, x in enumerate(c))))
+        assert got == want, c
+        single[p] = got
+    # The dilation of a set is the union of its members' dilations.
+    rng = SplitMix64(k)
+    for _ in range(20):
+        members = [rng.below(n ** k) for _ in range(1 + rng.below(6))]
+        want = 0
+        for p in members:
+            want |= single[p]
+        assert dilate(sum(1 << p for p in set(members))) == want
+
+
+@pytest.mark.parametrize("g, k", [(grid_graph(3, 3), 1), (cycle_graph(5), 1), (grid_graph(2, 3), 2),
+                                  (cycle_graph(5), 2), (_relabelled(grid_graph(3, 3), 4)[0], 2),
+                                  (path_graph(4), 3), (grid_graph(2, 3), 3)],
+                         ids=["grid:3x3-k1", "cycle:5-k1", "grid:2x3-k2", "cycle:5-k2",
+                              "shuffled-grid:3x3-k2", "path:4-k3", "grid:2x3-k3"])
+def test_half_items_equal_state_by_state_lookups(g, k):
+    res = solve(g, k)
+    for half in (res.table.value, res.table.other):
+        items = dict(half.items())
+        assert items == {key: half[key] for key in half}
+        assert len(items) == len(half)
+        assert all((key, v) in half.items() for key, v in items.items())
+
+
+_RELABEL_CASES = [
+    (random_tree(9, 3), 1, 1),
+    (cycle_graph(6), 1, 2),
+    (grid_graph(3, 3), 2, 3),
+    (_TREE4XTREE3, 2, 4),
+    (cycle_graph(5), 2, 5),
+    (path_graph(4), 3, 6),
+    (grid_graph(2, 3), 3, 7),
+    (cycle_graph(6), 3, 8),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_is_invariant_under_relabelling(k):
+    relabelled_inside = 0
+    for g, kk, seed in _RELABEL_CASES:
+        if kk != k:
+            continue
+        h, perm = _relabelled(g, seed)
+        relabelled_inside += _layout(h, k)[0] is not None
+        for order in MoveOrder:
+            a, b = solve(g, k, order), solve(h, k, order)
+            assert a.capture_time == b.capture_time
+            assert b.central_tuples == tuple(sorted({tuple(sorted(perm[c] for c in t))
+                                                     for t in a.central_tuples}))
+            for x, y in ((a.table.value, b.table.value), (a.table.other, b.table.other)):
+                mapped = {(tuple(sorted(perm[c] for c in t)), perm[r]): v for (t, r), v in x.items()}
+                assert mapped == dict(y.items())
+            slow = naive_value_iteration(h, k, order)
+            assert b.capture_time == slow.capture_time
+            assert b.central_tuples == slow.central_tuples
+            assert b.table.value == slow.table.value
+            assert b.table.other == slow.table.other
+    # At least one shuffled copy takes the pass's own BFS labels.
+    assert k == 1 or relabelled_inside

@@ -528,6 +528,10 @@ def test_half_items_equal_state_by_state_lookups(g, k):
         assert items == {key: half[key] for key in half}
         assert len(items) == len(half)
         assert all((key, v) in half.items() for key, v in items.items())
+        # Keys are exactly the (sorted tuple, free robber) pairs.
+        for (t, r) in items:
+            assert (t[::-1], r) in half if t == t[::-1] else (t[::-1], r) not in half
+            assert (t, g.vertex_count) not in half and (t, -1) not in half
 
 
 _RELABEL_CASES = [

@@ -54,9 +54,9 @@ R grows; the bits never set are ESCAPE.
 The offsets depend on the vertex labels.  When the BFS order from a
 vertex farthest from 0 has fewer distinct offsets than the given labels,
 the pass runs on it, and only the reads of :class:`_Half` map labels
-back.  When ceil(n^k / 8) byte-table lookups cost less than the shifts
-(in practice at k = 1), the dilation ORs, for each byte of the set, one
-of 256 precomputed masks instead.
+back.  At k = 1, when ceil(n / 8) byte-table lookups are no more than
+the shifts, the dilation ORs, for each byte of the set, one of 256
+precomputed masks instead.
 
 A state's value is the level at which its bit appears.  Each half keeps
 the values as bit planes (bit j of the value of (c, r) is bit p of
@@ -367,16 +367,18 @@ def _layout(g: Graph, k: int) -> tuple[list[int] | None, str]:
     """The pass's vertex labels (None: the given ones) and dilation encoding.
 
     It picks whichever costs least.  A dilation by offsets costs k *
-    (number of distinct edge offsets) masked shifts; one by byte tables
-    costs ceil(n^k / 8) lookups.  The offsets depend on the labels, so
-    the BFS order from a vertex farthest from 0 (a peripheral vertex of
-    a tree) replaces the given labels when it has fewer.  Byte tables
-    need no relabelling; they hold 2^8 * ceil(n^k / 8) masks, so the
-    cost rule only picks them where they are small, in practice at k = 1.
+    (number of distinct edge offsets) masked shifts.  The offsets depend
+    on the labels, so the BFS order from a vertex farthest from 0 (a
+    peripheral vertex of a tree) replaces the given labels when it has
+    fewer.  At k = 1, ceil(n / 8) byte-table lookups replace the shifts
+    when they are no more, and need no relabelling.  At k >= 2 the byte
+    tables hold 2^8 * ceil(n^k / 8) masks of n^k bits each; building
+    them cost more than the shifts saved on every graph measured, down
+    to n = 3, so the shifts serve every k >= 2.
     """
     n = g.vertex_count
-    lookups = -(-n ** k // 8)
-    if lookups <= 2 * k:  # no connected graph on two or more vertices has fewer offsets
+    lookups = -(-n // 8)
+    if k == 1 and lookups <= 2:  # no connected graph on two or more vertices has fewer offsets
         return None, "bytes"
     dist = bfs_distances(g, 0)
     order = [dist.index(max(dist))]
@@ -388,7 +390,7 @@ def _layout(g: Graph, k: int) -> tuple[list[int] | None, str]:
                 bfs[v] = len(order)
                 order.append(v)
     given, ordered = len(_offsets(g, range(n))), len(_offsets(g, bfs))
-    if lookups <= k * min(given, ordered):
+    if k == 1 and lookups <= min(given, ordered):
         return None, "bytes"
     return (bfs, "shifts") if ordered < given else (None, "shifts")
 

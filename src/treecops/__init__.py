@@ -15,7 +15,6 @@ from .trees import (
     add_leaf,
     diametral_path,
     is_tree,
-    step_toward,
 )
 from .products import ProductGraph, cartesian_product
 from .generators import (

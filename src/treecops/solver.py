@@ -53,18 +53,20 @@ R grows; the bits never set are ESCAPE.
 
 The offsets depend on the vertex labels.  When the BFS order from a
 vertex farthest from 0 has fewer distinct offsets than the given labels,
-the pass runs on it, and only the reads of :class:`_Half` map labels
-back.  At k = 1, when ceil(n / 8) byte-table lookups are no more than
-the shifts, the dilation ORs, for each byte of the set, one of 256
-precomputed masks instead.
+the pass runs on it.  Byte tables serve k = 1 only: when ceil(n / 8)
+lookups are no more than the shifts, the dilation ORs, for each byte of
+the set, one of 256 precomputed unions of closed neighbourhoods instead.
 
 A state's value is the level at which its bit appears.  Each half keeps
 the values as bit planes (bit j of the value of (c, r) is bit p of
-plane j of column r), so the pass does no per-state work, and after the
-pass each column becomes ``bytes``, so that a lookup is O(1).  Each
-half also keeps the union of its gains at every level and the tuples
-with every free state resolved, which give the capture time and the
-central tuples without reading a state.  The move order only selects
+plane j of column r), so the pass does no per-state work.  Every level
+is at least 1, so a free state with no bit set is ESCAPE, and F and R
+serve only to find the tuples with every free state resolved.  After
+the pass only the planes are kept, each column as ``bytes`` and indexed
+by the robber vertex, not the pass's label, so that a lookup is O(1).
+Each half also keeps the union of its gains at every level and the
+tuples with every free state resolved, which give the capture time and
+the central tuples without reading a state.  The move order only selects
 the half a result exposes, the one of the side that moves first
 (:meth:`ValueTable.half`): R for robber-first and F for cops-first.
 Both capture times come from one pass, and the optimal strategies read
@@ -120,21 +122,19 @@ StateKey = tuple[tuple[int, ...], int]
 class _Half(Mapping):
     """One half of a pass as a read-only {(sorted cop tuple, robber): value} map.
 
-    Columns are indexed by the pass's label of the robber vertex, and
-    bit p of a column by the ordered cop tuple at position p (see
-    :meth:`position`).  Bit p of ``done[r]`` marks the state resolved;
-    the other free states escape.  Bit j of a resolved value is bit p
-    of ``planes[j][r]``.  ``unions[t]`` holds the positions that gained
-    a state at level t, and ``complete`` those with every free state
-    resolved; :func:`_capture` reads only these two.
+    Columns are indexed by the robber vertex, and bit p of a column by
+    the ordered cop tuple at position p (see :meth:`position`).  Bit j
+    of the value of a free state is bit p of ``planes[j][r]``; a free
+    state with no bit set escapes.  ``unions[t]`` holds the positions
+    that gained a state at level t, and ``complete`` those with every
+    free state resolved; :func:`_capture` reads only these two.
     """
 
     n: int
     k: int
-    label: list[int]
+    vertex: list[int]
     weights: list[list[int]]
     size: int
-    done: list[bytes]
     planes: list[list[bytes]]
     unions: list[int]
     complete: int
@@ -145,14 +145,11 @@ class _Half(Mapping):
 
     def at(self, p: int, r: int) -> CaptureValue:
         """Value of the free state (ordered tuple at position p, robber r)."""
-        r = self.label[r]
         byte, bit = p >> 3, p & 7
-        if not self.done[r][byte] >> bit & 1:
-            return ESCAPE
         value = 0
         for j, plane in enumerate(self.planes):
             value |= (plane[r][byte] >> bit & 1) << j
-        return value
+        return value or ESCAPE
 
     def __getitem__(self, key: StateKey) -> CaptureValue:
         cops, r = key
@@ -185,23 +182,23 @@ class _Half(Mapping):
     def _decoded(self, keyed: bool):
         """Lists of values, or of (key, value) pairs, in ``__iter__`` order.
 
-        One list per group of robbers: the group's done bits and planes
-        become strings of "0"/"1", one character per (robber, position),
-        and the characters of one state, read across them, map to its
-        value.  A group holds about 2^16 positions, so small tables are
-        decoded in one go and large ones never as a whole.
+        One list per group of robbers: the group's planes become strings
+        of "0"/"1", one character per (robber, position), and the
+        characters of one state, read across them, map to its value.  A
+        group holds about 2^16 positions, so small tables are decoded in
+        one go and large ones never as a whole.
         """
         n = self.n
         tuples = list(itertools.combinations_with_replacement(range(n), self.k))
         spots = list(map(self.position, tuples))
-        stride = 8 * len(self.done[0])
+        stride = 8 * len(self.planes[0][0])
         value = _plane_values(len(self.planes))
         group = max(1, (1 << 16) // stride)
         for lo in range(0, n, group):
             robbers = range(lo, min(n, lo + group))
             columns = []
-            for column in [self.done, *self.planes]:
-                bits = b"".join([column[self.label[r]] for r in robbers])
+            for plane in self.planes:
+                bits = b"".join(plane[lo:robbers.stop])
                 columns.append(format(int.from_bytes(bits, "little"), f"0{len(bits) * 8}b")[::-1])
             values = list(map(value.__getitem__, zip(*columns)))
             if keyed:
@@ -215,12 +212,10 @@ class _Half(Mapping):
         """Whether free state (ordered tuple at position p, r) has value v: v >= 1, or ESCAPE.
 
         Compares plane by plane and stops at the first bit that differs.
-        An unresolved state reads 0 on every plane, so it matches no int.
+        ESCAPE compares as 0, the value of no resolved state.
         """
-        r = self.label[r]
         byte, bit = p >> 3, p & 7
-        if v is ESCAPE:
-            return not self.done[r][byte] >> bit & 1
+        v = 0 if v is ESCAPE else v
         for plane in self.planes:
             if (plane[r][byte] >> bit ^ v) & 1:
                 return False
@@ -229,10 +224,7 @@ class _Half(Mapping):
 
     def tuples_at(self, positions: int) -> tuple[tuple[int, ...], ...]:
         """The sorted cop tuples, in original labels, of the set bits of ``positions``."""
-        vertex = [0] * self.n
-        for v, x in enumerate(self.label):
-            vertex[x] = v
-        n, found = self.n, set()
+        n, vertex, found = self.n, self.vertex, set()
         bits = bin(positions)[:1:-1]
         p = bits.find("1")
         while p >= 0:
@@ -247,9 +239,9 @@ class _Half(Mapping):
 
 @functools.lru_cache(maxsize=None)
 def _plane_values(planes: int) -> dict[tuple[str, ...], CaptureValue]:
-    """Value of a position from its ("done", plane 0, plane 1, ...) bits as characters."""
-    return {bits: int("0" + "".join(reversed(bits[1:])), 2) if bits[0] == "1" else ESCAPE
-            for bits in itertools.product("01", repeat=1 + planes)}
+    """Value of a position from its (plane 0, plane 1, ...) bits as characters; none set: ESCAPE."""
+    return {bits: int("".join(reversed(bits)), 2) or ESCAPE
+            for bits in itertools.product("01", repeat=planes)}
 
 
 class _HalfItems(ItemsView):
@@ -371,10 +363,10 @@ def _layout(g: Graph, k: int) -> tuple[list[int] | None, str]:
     on the labels, so the BFS order from a vertex farthest from 0 (a
     peripheral vertex of a tree) replaces the given labels when it has
     fewer.  At k = 1, ceil(n / 8) byte-table lookups replace the shifts
-    when they are no more, and need no relabelling.  At k >= 2 the byte
-    tables hold 2^8 * ceil(n^k / 8) masks of n^k bits each; building
-    them cost more than the shifts saved on every graph measured, down
-    to n = 3, so the shifts serve every k >= 2.
+    when they are no more, and need no relabelling.  At k >= 2 byte
+    tables would hold 2^8 * ceil(n^k / 8) masks of n^k bits each;
+    building them cost more than the shifts saved on every graph
+    measured, down to n = 3, so :func:`_byte_dilation` moves one cop.
     """
     n = g.vertex_count
     lookups = -(-n // 8)
@@ -409,44 +401,46 @@ def _tile(block: int, period: int, count: int) -> int:
     return out
 
 
-def _dilation(closed: list[tuple[int, ...]], k: int, encoding: str):
+def _byte_dilation(closed: list[tuple[int, ...]]):
+    """One cop's move dilation on vertex sets: N[S], one table lookup per byte of S.
+
+    Entry b of table j is the union of the closed neighbourhoods of the
+    vertices 8j + i with bit i of b set.
+    """
+    near = [sum(1 << y for y in nbrs) for nbrs in closed]
+    tables = []  # tables[j][b] = dilation of b << 8j
+    for lo in range(0, len(closed), 8):
+        table = [0]
+        for mask in near[lo:lo + 8]:
+            table += [x | mask for x in table]
+        tables.append(table)
+    width = len(tables)
+    if width == 1:
+        return tables[0].__getitem__
+
+    def dilate(s: int) -> int:
+        reach = 0
+        for table, b in zip(tables, s.to_bytes(width, "little")):
+            if b:
+                reach |= table[b]
+        return reach
+
+    return dilate
+
+
+def _dilation(closed: list[tuple[int, ...]], k: int):
     """Cop-move dilation on sets of ordered k-tuples over vertices 0..n-1.
 
     Bit p = sum of c_i * n**i stands for the tuple c.  The returned
     function maps a set S to the tuples one cop move away from S: the
     move relation is the product of the closed neighbourhoods
     ``closed``, which is symmetric, so this is also the set of tuples
-    with a move into S.  ``"shifts"`` dilates one coordinate at a time,
-    by one (mask, shift) pair per edge offset d: the mask holds the
-    tuples whose i-th vertex x has neighbour x + d, and the shift is
-    d * n**i.  ``"bytes"`` ORs one precomputed mask per byte of S.
+    with a move into S.  It dilates one coordinate at a time, by one
+    (mask, shift) pair per edge offset d: the mask holds the tuples
+    whose i-th vertex x has neighbour x + d, and the shift is d * n**i.
     """
     n = len(closed)
     size = n ** k
-    if encoding == "bytes":
-        near = [1]  # near[p]: the moves of the tuple at p, one coordinate more each round
-        for i in range(k):
-            bit = [1 << y * n ** i for y in range(n)]
-            # The shifted copies of m < 2^(n^i) do not overlap: a product is their OR.
-            near = [m * sum(map(bit.__getitem__, nbrs)) for nbrs in closed for m in near]
-        tables = []  # tables[j][b] = dilation of b << 8j
-        for lo in range(0, size, 8):
-            table = [0]
-            for mask in near[lo:lo + 8]:
-                table += [x | mask for x in table]
-            tables.append(table)
-        width = len(tables)
-        if width == 1:
-            return tables[0].__getitem__
-
-        def dilate(s: int) -> int:
-            reach = 0
-            for table, b in zip(tables, s.to_bytes(width, "little")):
-                if b:
-                    reach |= table[b]
-            return reach
-
-        return dilate
     bases: dict[int, int] = {}  # offset d -> the vertices x with neighbour x + d
     for x, nbrs in enumerate(closed):
         for y in nbrs:
@@ -481,14 +475,10 @@ def _retrograde(g: Graph, k: int) -> dict[Side, _Half]:
     n = g.vertex_count
     size = n ** k
     label, encoding = _layout(g, k)
-    closed = _closed_lists(g)
-    if label is None:
-        label = list(range(n))
-    else:
-        given, closed = closed, [()] * n
-        for v, nbrs in enumerate(given):
-            closed[label[v]] = tuple(sorted(label[u] for u in nbrs))
-    dilate = _dilation(closed, k, encoding)
+    label = label or list(range(n))
+    vertex = sorted(range(n), key=label.__getitem__)  # pass label -> vertex
+    closed = [tuple(sorted(label[u] for u in g.closed_neighborhood(v))) for v in vertex]
+    dilate = _byte_dilation(closed) if encoding == "bytes" else _dilation(closed, k)
     on = [0] * n  # on[v]: the tuples with a cop on v
     for i in range(k):
         w = n ** i
@@ -554,9 +544,9 @@ def _retrograde(g: Graph, k: int) -> dict[Side, _Half]:
         for column in done:
             complete &= column
         width = -(-size // 8)
-        for column in [done, *planes]:  # one list at a time, so never all ints and all bytes
-            column[:] = [bits.to_bytes(width, "little") for bits in column]
-        return _Half(n, k, label, weights, count, done, planes, unions, complete)
+        for plane in planes:  # one list at a time, so never all ints and all bytes
+            plane[:] = [plane[x].to_bytes(width, "little") for x in label]
+        return _Half(n, k, vertex, weights, count, planes, unions, complete)
 
     return {Side.COPS: half(F, planes_F, unions_F), Side.ROBBER: half(R, planes_R, unions_R)}
 
@@ -590,9 +580,13 @@ def solve(
         raise InputError("solve needs k >= 1")
     # A solve stores every state and every cop of every tuple: refuse on
     # that count first, as a huge k makes (max degree + 1)^k too big.
-    estimate = max(g.vertex_count, k) * math.comb(g.vertex_count + k - 1, k)
+    n = g.vertex_count
+    estimate = max(n, k) * math.comb(n + k - 1, k)
     if estimate <= state_budget:
-        estimate = _estimate_pairs(g, k)
+        # With n >= 2, (max degree + 1)^k >= 2^k passes any budget b once
+        # k >= b.bit_length(): refuse then without forming the power.
+        past = n >= 2 and k >= state_budget.bit_length()
+        estimate = 1 << state_budget.bit_length() if past else _estimate_pairs(g, k)
     if estimate > state_budget:
         raise ResourceBudgetError(
             f"solve budget exceeded: ~{estimate} state-successor pairs "

@@ -1,5 +1,5 @@
-"""Tree navigation: diametral paths, next steps, re-rooted distance and
-next-hop rows for every source, and leaf extension."""
+"""Tree navigation: diametral paths, re-rooted distance and next-hop rows
+for every source, and leaf extension."""
 from __future__ import annotations
 
 from typing import Iterator
@@ -27,17 +27,6 @@ def diametral_path(t: Graph) -> list[int]:
         path.append(parent_a[path[-1]])
     path.reverse()
     return path
-
-
-def step_toward(t: Graph, frm: int, to: int) -> int:
-    """The unique neighbor of `frm` on the frm-to path in the tree."""
-    if frm == to:
-        raise GraphError(f"step_toward from a vertex to itself ({frm})")
-    dist = bfs_distances(t, to)
-    for nb in t.adjacency[frm]:
-        if dist[nb] == dist[frm] - 1:
-            return nb
-    raise GraphError(f"no step from {frm} toward {to}; graph is not a tree?")
 
 
 def tree_rows(t: Graph) -> Iterator[tuple[int, list[int], list[int]]]:

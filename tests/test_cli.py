@@ -145,6 +145,15 @@ def test_solve_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_solve_huge_cop_count_with_a_huge_budget_exits_budget(capsys):
+    # (max degree + 1)^k >= 2^k passes the budget, so the power is never formed.
+    rc, _, err = run_cli(
+        capsys, "solve", "--graph", "path:3", "--cops", str(10**9), "--budget", str(10**30)
+    )
+    assert rc == EXIT_BUDGET
+    assert "budget" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "10")
     rc, _, _ = run_cli(capsys, "solve", "--graph", "grid:3x3", "--cops", "2")

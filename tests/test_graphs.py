@@ -15,7 +15,6 @@ from treecops import (
     path_graph,
     random_tree,
     star_graph,
-    step_toward,
 )
 from treecops.graphs import bfs_parents
 from treecops.trees import tree_rows
@@ -102,19 +101,6 @@ def test_diametral_path_rejects_single_vertex():
         diametral_path(g)
 
 
-def test_step_toward():
-    p = path_graph(4)
-    assert step_toward(p, 0, 3) == 1
-    assert step_toward(p, 0, 1) == 1
-    star = star_graph(4)
-    assert step_toward(star, 1, 2) == 0
-
-
-def test_step_toward_same_vertex_rejected():
-    with pytest.raises(GraphError):
-        step_toward(path_graph(3), 1, 1)
-
-
 def test_add_leaf():
     g = add_leaf(path_graph(3), 2)
     assert g.vertex_count == 4
@@ -177,20 +163,6 @@ def test_diametral_endpoints_are_leaves(t):
 
 
 @given(tree_instances, st.data())
-@settings(max_examples=60, deadline=None)
-def test_step_toward_walk_has_exact_length(t, data):
-    n = t.vertex_count
-    u = data.draw(st.integers(min_value=0, max_value=n - 1))
-    v = data.draw(st.integers(min_value=0, max_value=n - 1))
-    d = bfs_distances(t, u)[v]
-    cur, steps = u, 0
-    while cur != v:
-        cur = step_toward(t, cur, v)
-        steps += 1
-    assert steps == d
-
-
-@given(tree_instances, st.data())
 @settings(max_examples=40, deadline=None)
 def test_center_has_small_eccentricity(t, data):
     # Eccentricity of the diametral-path center vertex never exceeds
@@ -240,8 +212,9 @@ def test_next_hop_table_matches_step_toward(t):
         assert dist[to] == bfs_distances(t, to)
         assert hop[to][to] == to
         for frm in range(t.vertex_count):
-            if frm != to:
-                assert hop[to][frm] == step_toward(t, frm, to)
+            if frm != to:  # the one neighbour of frm a step closer to `to`
+                assert hop[to][frm] in t.adjacency[frm]
+                assert dist[to][hop[to][frm]] == dist[to][frm] - 1
 
 
 def test_next_hop_table_rejects_non_trees():

@@ -32,6 +32,7 @@ from treecops.engine import ResourceBudgetError
 from treecops.generators import SplitMix64
 from treecops.solver import (
     DEFAULT_STATE_BUDGET,
+    _byte_dilation,
     _closed_lists,
     _cop_configuration_space,
     _dilation,
@@ -78,6 +79,24 @@ def test_cycle4_one_cop_escapes():
     assert res.central_tuples == ()
     naive = naive_value_iteration(cycle_graph(4), 1)
     assert is_escape(naive.capture_time)
+
+
+@pytest.mark.parametrize("order", list(MoveOrder), ids=["robber-first", "cops-first"])
+def test_two_cops_escape_on_petersen_with_pendant_path(order):
+    # The Petersen graph has cop number 3, and a pendant path 0-10-...-14
+    # gives the robber long finite chases, so both halves mix ESCAPE with
+    # values 1..7 over four planes: ESCAPE is read from a k=2 table.
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges += [(0, 10), (10, 11), (11, 12), (12, 13), (13, 14)]
+    g = build_graph(15, edges)
+    fast, slow = solve(g, 2, order), naive_value_iteration(g, 2, order)
+    assert is_escape(fast.capture_time) and is_escape(slow.capture_time)
+    assert fast.central_tuples == ()
+    for half, want in ((fast.table.value, slow.table.value), (fast.table.other, slow.table.other)):
+        assert len(half.planes) == 4
+        assert set(half.values()) == {ESCAPE, *range(1, 8)}
+        assert half == want
 
 
 def test_grid3x3_two_cops():
@@ -135,6 +154,10 @@ def test_huge_cop_count_is_refused_before_any_power(k):
     with pytest.raises(ResourceBudgetError) as exc:
         solve(path_graph(3), k)
     assert exc.value.count > DEFAULT_STATE_BUDGET
+    # A budget above that count is refused too, as (max degree + 1)^k >= 2^k.
+    with pytest.raises(ResourceBudgetError) as exc:
+        solve(path_graph(3), k, state_budget=10**30)
+    assert exc.value.count > 10**30
 
 
 def test_naive_budget_error():
@@ -487,15 +510,17 @@ _DILATION_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("encoding", ["bytes", "shifts"])
-@pytest.mark.parametrize("name, k", [(name, k) for name in _DILATION_GRAPHS for k in (1, 2, 3)])
+@pytest.mark.parametrize("name, k, encoding", [(name, k, encoding) for name in _DILATION_GRAPHS
+                                                for k in (1, 2, 3) for encoding in ("bytes", "shifts")
+                                                if k == 1 or encoding == "shifts"])
 def test_dilation_matches_definition(name, k, encoding):
     # Bit p = sum of c_i * n**i stands for the ordered tuple c; one cop
     # move from c reaches exactly the product of the closed neighbourhoods.
+    # Byte tables move one cop only.
     g = _DILATION_GRAPHS[name]
     n = g.vertex_count
     closed = _closed_lists(g)
-    dilate = _dilation(closed, k, encoding)
+    dilate = _byte_dilation(closed) if encoding == "bytes" else _dilation(closed, k)
 
     # weighted[i][x]: the positions' terms for vertex x at coordinate i.
     weighted = [[[y * n ** i for y in closed[x]] for x in range(n)] for i in range(k)]

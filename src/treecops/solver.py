@@ -475,9 +475,12 @@ def _retrograde(g: Graph, k: int) -> dict[Side, _Half]:
     n = g.vertex_count
     size = n ** k
     label, encoding = _layout(g, k)
-    label = label or list(range(n))
-    vertex = sorted(range(n), key=label.__getitem__)  # pass label -> vertex
-    closed = [tuple(sorted(label[u] for u in g.closed_neighborhood(v))) for v in vertex]
+    closed = _closed_lists(g)
+    if label is None:
+        label = vertex = list(range(n))
+    else:
+        vertex = sorted(range(n), key=label.__getitem__)  # pass label -> vertex
+        closed = [tuple(sorted(label[u] for u in closed[v])) for v in vertex]
     dilate = _byte_dilation(closed) if encoding == "bytes" else _dilation(closed, k)
     on = [0] * n  # on[v]: the tuples with a cop on v
     for i in range(k):

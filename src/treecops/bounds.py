@@ -1,9 +1,11 @@
 """Machine checks of the capture-time identities and inequalities.
 
-Every claim is an exact integer comparison; reports carry PASS, FAIL,
-or VACUOUS per claim.  Vacuous means the hypothesis selected nothing to
-check (for example no qualifying 4-cycle vertices exist), which is
-reported distinctly so corpus bugs cannot hide behind empty checks.
+Every check compares capture times that its caller supplies and runs
+no solve.  Every claim is an exact integer comparison; reports carry
+PASS, FAIL, or VACUOUS per claim.  Vacuous means the hypothesis
+selected nothing to check (for example no qualifying 4-cycle vertices
+exist), which is reported distinctly so corpus bugs cannot hide behind
+empty checks.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from typing import NamedTuple
 from .engine import ESCAPE, CaptureValue, is_escape
 from .graphs import Graph, bfs_distances, diameter
 from .products import ProductGraph
-from .solver import SolveResult, solve
 from .trees import diametral_path
 
 PASS = "PASS"
@@ -176,16 +177,17 @@ def check_theorem2(product: ProductGraph, capture_time: CaptureValue,
     return report
 
 
-def check_corollaries(product: ProductGraph, capture_time: CaptureValue) -> BoundReport:
-    """The one-cop sandwich around capt2, and the grid closed form when
-    both factors are paths."""
+def check_corollaries(product: ProductGraph, capture_time: CaptureValue,
+                      c1a: CaptureValue, c1b: CaptureValue) -> BoundReport:
+    """The one-cop sandwich around capt2, given the factors' one-cop
+    capture times c1a and c1b, and the grid closed form when both
+    factors are paths."""
     report = BoundReport(instance=f"corollaries[n={product.flat.vertex_count}]")
     if is_escape(capture_time):
         return _escaped(report, "capt2-finite")
+    if is_escape(c1a) or is_escape(c1b):
+        return _escaped(report, "capt1-finite")
     t2 = capture_time
-    c1a = solve(product.factor1, 1).capture_time
-    c1b = solve(product.factor2, 1).capture_time
-    report.provenance["factor_capt1"] = (c1a, c1b)
     report.claims.append(make_claim("sandwich-lower", c1a + c1b - 1, "<=", t2))
     report.claims.append(make_claim("sandwich-upper", t2, "<=", c1a + c1b))
 
@@ -212,29 +214,16 @@ def three_tree_bounds(diameters: list[int]) -> tuple[int, int]:
     return total // 2, 1 + total
 
 
-def check_multi_tree_bounds(
-    trees: list[Graph], result: SolveResult | None
-) -> BoundReport:
-    """Bound checks for products of three or more trees.
-
-    With exactly three trees and a solver result for the triple product
-    at two cops, checks the lower/upper capture bounds; otherwise (or
-    without a result) only the arithmetic of the n-tree upper-bound
-    formula is reported.
-    """
+def check_multi_tree_bounds(trees: list[Graph], capture_time: CaptureValue) -> BoundReport:
+    """The two-cop capture time of a product of three trees lies within
+    the three-tree bounds and under the n-tree upper-bound formula."""
     diams = [diameter(t) for t in trees]
     report = BoundReport(instance=f"multi-tree[{len(trees)} trees, diams={diams}]")
-    formula = n_tree_upper_bound(diams)
-    report.provenance["formula_upper_bound"] = formula
-    if len(trees) == 3 and result is not None:
-        if is_escape(result.capture_time):
-            return _escaped(report, "capt-finite")
-        lo, hi = three_tree_bounds(diams)
-        capt = result.capture_time
-        report.provenance["capt"] = capt
-        report.claims.append(make_claim("three-trees-lower", lo, "<=", capt))
-        report.claims.append(make_claim("three-trees-upper", capt, "<=", hi))
-        report.claims.append(make_claim("n-tree-formula-upper", capt, "<=", formula))
-    else:
-        report.claims.append(vacuous_claim("multi-tree-solve"))
+    if is_escape(capture_time):
+        return _escaped(report, "capt-finite")
+    lo, hi = three_tree_bounds(diams)
+    report.claims.append(make_claim("three-trees-lower", lo, "<=", capture_time))
+    report.claims.append(make_claim("three-trees-upper", capture_time, "<=", hi))
+    report.claims.append(make_claim("n-tree-formula-upper", capture_time, "<=",
+                                    n_tree_upper_bound(diams)))
     return report

@@ -583,8 +583,10 @@ def solve(
         raise InputError("solve needs k >= 1")
     # A solve stores every state and every cop of every tuple: refuse on
     # that count first, as a huge k makes (max degree + 1)^k too big.
+    # One vertex has one state for any k, and there the pass's per-cop
+    # tables dominate: each costs about as much as 2^8 states.
     n = g.vertex_count
-    estimate = max(n, k) * math.comb(n + k - 1, k)
+    estimate = max(n, k) * math.comb(n + k - 1, k) if n != 1 else k << 8
     if estimate <= state_budget:
         # With n >= 2, (max degree + 1)^k >= 2^k passes any budget b once
         # k >= b.bit_length(): refuse then without forming the power.

@@ -7,7 +7,9 @@ theorem2, sandwich and lemma3 check the same seeded tree products.  They
 share one per-process memo of their two-cop solves, so suites run in one
 process (``scripts/run_all_suites.py``) solve each product once, in any
 order, with the same output.  Separate ``treecops verify`` processes do
-not share it: each one solves its corpus.
+not share it: each one solves its corpus.  The bound checks run no
+solve: each suite solves what its checks compare, and the sandwich
+also solves each product's factors at one cop, outside the memo.
 """
 from __future__ import annotations
 
@@ -186,8 +188,12 @@ def suite_corollary_grid(max_mn: int = 5) -> SuiteResult:
 
 def suite_sandwich(seed: int = 42, count: int = 50, max_size: int = 7) -> SuiteResult:
     """The one-cop sandwich around capt2 of random two-tree products."""
-    return _solve_each("sandwich", _pair_products(seed, count, max_size),
-                       lambda product, t, _central: check_corollaries(product, t))
+
+    def check(product: ProductGraph, t: CaptureValue, _central) -> BoundReport:
+        return check_corollaries(product, t, solve(product.factor1, 1).capture_time,
+                                 solve(product.factor2, 1).capture_time)
+
+    return _solve_each("sandwich", _pair_products(seed, count, max_size), check)
 
 
 def suite_lemma3(seed: int = 42, count: int = 50, max_size: int = 7) -> SuiteResult:
@@ -217,13 +223,10 @@ def suite_constructive(seed: int = 42, count: int = 50, max_size: int = 7,
             )
     for product, desc in worlds:
         want = (diameter(product.factor1) + diameter(product.factor2)) // 2
-        strategy = ProductTwoCop(product)
-        got = best_response_length(product.flat, config, strategy)
+        got = best_response_length(product.flat, config, ProductTwoCop(product))
         report = BoundReport(instance=f"{desc} constructive")
         report.claims.append(make_claim("constructive-capture", got, "==", want))
-        report.provenance["strategy_stats"] = dict(strategy.stats)
-        report.provenance["graph"] = product.flat
-        report.provenance["product"] = product
+        report.provenance.update(graph=product.flat, product=product)
         result.reports.append(report)
     return result
 
@@ -270,8 +273,7 @@ def suite_three_trees() -> SuiteResult:
         flat = cartesian_product(
             cartesian_product(trees[0], trees[1]).flat, trees[2]
         ).flat
-        solved = solve(flat, 2)
-        report = check_multi_tree_bounds(trees, solved)
+        report = check_multi_tree_bounds(trees, solve(flat, 2).capture_time)
         _record_solve(report, flat, 2)
         result.reports.append(report)
     report = BoundReport(instance="n-tree-formula[4 single edges]")

@@ -1,6 +1,7 @@
 import itertools
 
 from treecops import (
+    ESCAPE,
     cartesian_product,
     cycle_graph,
     diameter,
@@ -148,18 +149,25 @@ def test_theorem2_on_star_x_edge():
     assert check_theorem2(prod, *_slim(result)).passed
 
 
+def _one_cop(product):
+    """The factors' one-cop capture times, which check_corollaries takes."""
+    return solve(product.factor1, 1).capture_time, solve(product.factor2, 1).capture_time
+
+
 def test_corollaries_p3_x_p3():
     prod = cartesian_product(path_graph(3), path_graph(3))
-    report = check_corollaries(prod, solve(prod.flat, 2).capture_time)
+    report = check_corollaries(prod, solve(prod.flat, 2).capture_time, *_one_cop(prod))
     assert report.passed
-    assert report.provenance["factor_capt1"] == (1, 1)
+    lower, upper = report.claims[:2]
+    assert (lower.claim_id, lower.lhs) == ("sandwich-lower", 1 + 1 - 1)
+    assert (upper.claim_id, upper.rhs) == ("sandwich-upper", 1 + 1)
     ids = [c.claim_id for c in report.claims]
     assert "grid-formula" in ids
 
 
 def test_corollaries_p2_x_p2():
     prod = cartesian_product(path_graph(2), path_graph(2))
-    report = check_corollaries(prod, solve(prod.flat, 2).capture_time)
+    report = check_corollaries(prod, solve(prod.flat, 2).capture_time, *_one_cop(prod))
     assert report.passed
 
 
@@ -167,14 +175,31 @@ def test_corollaries_grid_4x5_formula():
     prod = cartesian_product(path_graph(4), path_graph(5))
     result = solve(prod.flat, 2)
     assert result.capture_time == (4 + 5) // 2 - 1 == 3
-    assert check_corollaries(prod, result.capture_time).passed
+    assert _one_cop(prod) == (2, 2)
+    assert check_corollaries(prod, result.capture_time, *_one_cop(prod)).passed
 
 
 def test_corollaries_non_path_factors_skip_grid_formula():
     prod = cartesian_product(star_graph(4), path_graph(3))
-    report = check_corollaries(prod, solve(prod.flat, 2).capture_time)
+    report = check_corollaries(prod, solve(prod.flat, 2).capture_time, *_one_cop(prod))
     assert report.passed
     assert "grid-formula" not in [c.claim_id for c in report.claims]
+
+
+def test_corollaries_fail_sandwich_lower_on_factor_values_that_break_it():
+    # capt2(P3 x P3) = 1 lies below 5 + 5 - 1: the check reads the values
+    # it is given, so a wrong one-cop value fails the sandwich.
+    prod = cartesian_product(path_graph(3), path_graph(3))
+    report = check_corollaries(prod, 1, 5, 5)
+    assert not report.passed
+    assert report.lines()[:2] == ["CLAIM sandwich-lower 9 <= 1 FAIL",
+                                  "CLAIM sandwich-upper 1 <= 10 PASS"]
+
+
+def test_corollaries_fail_an_escaping_factor_value():
+    prod = cartesian_product(path_graph(3), path_graph(3))
+    report = check_corollaries(prod, 1, ESCAPE, 1)
+    assert report.lines() == ["CLAIM capt1-finite -1 >= 0 FAIL"]
 
 
 def test_n_tree_formula_hand_value():
@@ -191,16 +216,12 @@ def test_three_tree_bounds_values():
 def test_multi_tree_three_edges():
     trees = [path_graph(2)] * 3
     flat = cartesian_product(cartesian_product(trees[0], trees[1]).flat, trees[2]).flat
-    report = check_multi_tree_bounds(trees, solve(flat, 2))
-    assert report.passed
-    capt = report.provenance["capt"]
+    capt = solve(flat, 2).capture_time
     assert 1 <= capt <= 4
-
-
-def test_multi_tree_formula_only_for_many_trees():
-    report = check_multi_tree_bounds([path_graph(2)] * 4, None)
-    assert report.vacuous
-    assert report.provenance["formula_upper_bound"] == 8
+    report = check_multi_tree_bounds(trees, capt)
+    assert report.passed
+    assert [c.claim_id for c in report.claims] == [
+        "three-trees-lower", "three-trees-upper", "n-tree-formula-upper"]
 
 
 def test_report_serialization_shape():

@@ -154,6 +154,15 @@ def test_solve_huge_cop_count_with_a_huge_budget_exits_budget(capsys):
     assert "budget" in err
 
 
+def test_solve_one_vertex_with_a_million_cops_exits_budget(capsys, tmp_path):
+    graph = tmp_path / "one.g"
+    graph.write_text("1 0\n")
+    rc, out, err = run_cli(capsys, "solve", "--graph", str(graph), "--cops", str(10**6))
+    assert rc == EXIT_BUDGET
+    assert out == ""
+    assert "budget" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "10")
     rc, _, _ = run_cli(capsys, "solve", "--graph", "grid:3x3", "--cops", "2")

@@ -141,6 +141,15 @@ def test_values_satisfy_recurrence():
             assert recomputed == value
 
 
+def test_one_vertex_with_many_cops_is_refused_by_its_per_cop_cost():
+    # One vertex has one state for any k, but the pass keeps tables per
+    # cop: 10^6 cops would take about 300 MB, so the default budget refuses.
+    with pytest.raises(ResourceBudgetError) as exc:
+        solve(build_graph(1, []), 10**6)
+    assert exc.value.count > DEFAULT_STATE_BUDGET
+    assert solve(build_graph(1, []), 10**4).capture_time == 0
+
+
 def test_budget_error_carries_count():
     with pytest.raises(ResourceBudgetError) as exc:
         solve(grid_graph(3, 3), 2, state_budget=10)

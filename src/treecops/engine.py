@@ -8,8 +8,9 @@ without a cop reply.  Vertex sharing among cops is legal.
 
 Strategies are templates; per-game state lives in an opaque hashable
 memory value the engine threads through `respond` calls (a strategy may
-keep counters and caches that never change its moves).  A
-strategy's `respond` must be a pure function of (state, memory) so that
+keep counters and caches that never change its moves, and may reuse work
+across calls given the very same objects).  A strategy's `respond` must
+be a pure function of (state, memory) so that
 :func:`best_response_length` can memoize over it.
 """
 from __future__ import annotations
@@ -191,14 +192,6 @@ def _check_robber_move(g: Graph, old: int, new: int) -> None:
 def _check_cop_moves(g: Graph, old: tuple[int, ...], new: tuple[int, ...]) -> None:
     if len(new) != len(old):
         raise IllegalMoveError(f"cops returned {len(new)} positions for {len(old)} cops")
-    # Fast path: every entry a plain int that stays or steps along an edge.
-    # Anything else falls through to the checks that name the fault.
-    adjacency, n = g.adjacency, g.vertex_count
-    for a, b in zip(old, new):
-        if type(b) is not int or not (b == a and 0 <= b < n or b in adjacency[a]):
-            break
-    else:
-        return
     for i, (a, b) in enumerate(zip(old, new)):
         _check_vertex(g, b, f"cop {i}")
         if b != a and not g.has_edge(a, b):
@@ -301,6 +294,7 @@ def best_response_length(
     respond = cop_strategy.respond
     cops_to_move = Side.COPS
     new_tuple = tuple.__new__
+    adjacency, k = g.adjacency, config.cop_count
 
     def successors(key: tuple) -> list[tuple | None]:
         """None entries are capture-this-round branches, read as a child
@@ -310,34 +304,34 @@ def best_response_length(
         uncaptured robber, and every branch is worth at least one round,
         so a suicide can never raise the max.
 
-        Each cop reply is the strategy's `respond` on a state built with
-        tuple.__new__ (the named tuple's fields filled in C, with no
-        Python frame), followed by one `_check_cop_moves`.
+        Robber first, the cops reply to each of her moves; cops first,
+        once, to her position.  A reply is `respond` on a state built with
+        tuple.__new__ (fields filled in C, no Python frame); one that is
+        not k plain ints each staying or stepping along an edge goes to
+        `_check_cop_moves`, which names the fault.
         """
         cops, robber, memory = key
         out: list[tuple | None] = []
-        if robber_first:
-            for r_new in closed[robber]:
-                if r_new in cops:
-                    continue
-                new_cops, new_memory = respond(
-                    g, new_tuple(GameState, (cops, r_new, 1, cops_to_move)), memory)
-                _check_cop_moves(g, cops, new_cops)
-                new_cops = tuple(new_cops)
-                if r_new in new_cops:
-                    out.append(None)
-                else:
-                    out.append((new_cops, r_new, new_memory))
-        else:
+        for r_ask in closed[robber] if robber_first else (robber,):
+            if r_ask in cops:
+                continue
             new_cops, new_memory = respond(
-                g, new_tuple(GameState, (cops, robber, 1, cops_to_move)), memory)
-            _check_cop_moves(g, cops, new_cops)
+                g, new_tuple(GameState, (cops, r_ask, 1, cops_to_move)), memory)
+            if len(new_cops) != k:
+                _check_cop_moves(g, cops, new_cops)
+            for a, b in zip(cops, new_cops):
+                if type(b) is not int or b != a and b not in adjacency[a]:
+                    _check_cop_moves(g, cops, new_cops)
+                    break
             new_cops = tuple(new_cops)
-            if robber in new_cops:
-                return [None]
-            for r_new in closed[robber]:
-                if r_new not in new_cops:
-                    out.append((new_cops, r_new, new_memory))
+            if r_ask in new_cops:
+                out.append(None)
+            elif robber_first:
+                out.append((new_cops, r_ask, new_memory))
+            else:
+                for r_new in closed[robber]:
+                    if r_new not in new_cops:
+                        out.append((new_cops, r_new, new_memory))
         return out
 
     def evaluate(root: tuple) -> CaptureValue:

@@ -571,6 +571,13 @@ def _capture(half: _Half) -> tuple[CaptureValue, tuple[tuple[int, ...], ...]]:
     return capture_time, half.tuples_at(central)
 
 
+def _count_text(count: int) -> str:
+    # Python refuses to write an int of more than 4300 digits as text, so
+    # past 10,000 bits (about 3,000 digits) the largest power of two not
+    # above the count stands for it.
+    return str(count) if count.bit_length() <= 10_000 else f"2^{count.bit_length() - 1}"
+
+
 def solve(
     g: Graph,
     k: int,
@@ -585,19 +592,24 @@ def solve(
     # that count first, as a huge k makes (max degree + 1)^k too big.
     # One vertex has one state for any k, and there the pass's per-cop
     # tables dominate: each costs about as much as 2^8 states.
-    n = g.vertex_count
-    estimate = max(n, k) * math.comb(n + k - 1, k) if n != 1 else k << 8
+    # The message names the count that was compared with the budget.
+    n, bound = g.vertex_count, "~"
+    if n != 1:
+        estimate = max(n, k) * math.comb(n + k - 1, k)
+        what = f"stored entries (cop tuples x max({n} vertices, {k} cops))"
+    else:
+        estimate, what = k << 8, f"state-equivalents of per-cop tables ({k} cops x 2^8)"
     if estimate <= state_budget:
-        # With n >= 2, (max degree + 1)^k >= 2^k passes any budget b once
-        # k >= b.bit_length(): refuse then without forming the power.
-        past = n >= 2 and k >= state_budget.bit_length()
-        estimate = 1 << state_budget.bit_length() if past else _estimate_pairs(g, k)
+        if n >= 2 and k >= state_budget.bit_length():
+            # (max degree + 1)^k >= 2^k passes any budget b once
+            # k >= b.bit_length(): refuse then without forming the power.
+            estimate, bound = 1 << state_budget.bit_length(), "at least "
+            what = f"state-successor pairs ({k} cops, each with 2 or more moves)"
+        else:
+            estimate, what = _estimate_pairs(g, k), "state-successor pairs"
     if estimate > state_budget:
-        raise ResourceBudgetError(
-            f"solve budget exceeded: ~{estimate} state-successor pairs "
-            f"> budget {state_budget}",
-            estimate,
-        )
+        raise ResourceBudgetError(f"solve budget exceeded: {bound}{_count_text(estimate)} {what} "
+                                  f"> budget {_count_text(state_budget)}", estimate)
     halves = _retrograde(g, k)
     first, second = _HALF_MOVES[order]
     capture_time, central = _capture(halves[first])

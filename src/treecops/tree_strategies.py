@@ -131,7 +131,11 @@ class ProductTwoCop(CopStrategy):
     the trees: the invariant checks read which vertices lie below a root
     from them too.  `stats` counts responses, endgame entries and
     invariant checks, so an instance is per-thread state, not a shareable
-    template.
+    template.  The round-start part of a reply reads only the cops and the
+    memory; its record (and the outcome of its checks) is reused while a
+    call passes the very same cops tuple and memory object as the last.
+    Every per-reply check, the endgame-entry invariants included, runs on
+    every reply.
     """
 
     def __init__(self, product: ProductGraph):
@@ -172,6 +176,8 @@ class ProductTwoCop(CopStrategy):
             [None] * tree2.vertex_count for _ in range(tree1.vertex_count)]
         for f, (x, y) in enumerate(pairs):
             self._flat_of[x][y] = f
+        self._top2 = self._dist2[self.root2]
+        self._start: tuple = (object(), object())  # holds no caller's cops or memory
         self.stats = {"endgame_entries": 0, "invariant_checks": 0, "responses": 0}
 
     # -- coordinate plumbing ------------------------------------------------
@@ -199,6 +205,82 @@ class ProductTwoCop(CopStrategy):
     def respond(self, g: Graph, state: GameState, memory: TwoPhaseMemory):
         stats = self.stats
         stats["responses"] += 1
+        start = self._start
+        if start[0] is not state.cops or start[1] is not memory:
+            start = self._round_start(state.cops, memory)
+        _, _, phase, entering, descend, c1_slot, c1_out, root1, u1, v1, u2, r_start = start
+        if entering:
+            stats["endgame_entries"] += 1
+            self._assert_invariants(u1, v1, u2, r_start, root1, "endgame entry")
+
+        # Both phases pick the tree in which both cops step toward the robber;
+        # only the endgame may capture instead.  Near cop to (n1, n2), far to (f1, f2).
+        robber = state.robber
+        r1, r2 = self._internal_of[robber]
+        dist1 = self._dist1
+        if phase == PHASE_ENDGAME:
+            # The round start committed to no tree: her move decides it.
+            if r1 != r_start[0] and r2 != r_start[1]:
+                raise StrategyInvariantError(
+                    f"robber changed both coordinates: {r_start} -> {(r1, r2)}"
+                )
+            eU, e2 = dist1[u1][r1], self._dist2[u2][r2]
+            if dist1[v1][r1] == 0:
+                # She climbed onto the far cop's column: it steps onto her.
+                if e2 != 1:
+                    raise StrategyInvariantError(
+                        "capture case (odd-tree ascent) without unit distance"
+                    )
+                n1, n2, f1, f2 = u1, u2, v1, r2
+            elif e2 == 0:
+                # She climbed onto the cops' row: the near cop steps onto her.
+                if eU != 1:
+                    raise StrategyInvariantError(
+                        "capture case (even-tree ascent) without unit distance"
+                    )
+                n1, n2, f1, f2 = r1, u2, v1, u2
+            else:
+                descend = 2 if e2 > eU else 1
+
+        if descend == 1:
+            if u1 == r1:
+                raise StrategyInvariantError(
+                    f"odd-tree descent with cop already at robber column {r1}"
+                )
+            hop = self._hop1[r1]
+            n1, n2, f1, f2 = hop[u1], u2, hop[v1], u2
+            if f1 != u1:
+                raise StrategyInvariantError(
+                    f"pair did not contract while descending: {v1}->{f1}, expected {u1}"
+                )
+        elif descend == 2:
+            if u2 == r2:
+                raise StrategyInvariantError(
+                    f"even-tree descent with cop already at robber row {r2}"
+                )
+            n1, f1 = u1, v1
+            n2 = f2 = self._hop2[r2][u2]
+        if phase == PHASE_ENDGAME and (r1 != n1 or r2 != n2) and (r1 != f1 or r2 != f2):
+            # The five invariants; _assert_invariants runs only to name a failure.
+            top1, top2 = dist1[root1], self._top2
+            dU, dV, d2 = dist1[n1][r1], dist1[f1][r1], self._dist2[n2][r2]
+            if not (top1[n1] + dU == top1[r1] == top1[f1] + dV and top2[n2] + d2 == top2[r2]
+                    and dV == dU + 1 and (d2 == dU or d2 == dV)):
+                self._assert_invariants(n1, f1, n2, (r1, r2), root1, "after endgame move")
+            stats["invariant_checks"] += 1
+
+        flat_of = self._flat_of
+        near, far = flat_of[n1][n2], flat_of[f1][f2]
+        if near is None or far is None:
+            # A move onto the virtual leaf: _flat raises the error naming it.
+            near, far = self._flat((n1, n2)), self._flat((f1, f2))
+        new_cops = (near, far) if c1_slot == 0 else (far, near)
+        # tuple.__new__ fills the named tuple in C, with no Python frame.
+        return new_cops, _new_tuple(TwoPhaseMemory, (phase, robber, c1_out, root1))
+
+    def _round_start(self, cops, memory: TwoPhaseMemory) -> tuple:
+        """The record of the part of a reply that reads only the cops and the
+        memory; kept for reuse when both are immutable, and never on a raise."""
         phase, prev_robber, c1_slot, root1 = memory
         if prev_robber is None:
             raise StrategyInvariantError(
@@ -207,8 +289,7 @@ class ProductTwoCop(CopStrategy):
         internal = self._internal_of
         dist1 = self._dist1
         r_start = internal[prev_robber]
-        r_now = internal[state.robber]
-        cop_a, cop_b = state.cops
+        cop_a, cop_b = cops
         (x1, w1), (y1, w2) = internal[cop_a], internal[cop_b]
         if w1 != w2 or dist1[x1][y1] != 1:
             raise StrategyInvariantError(
@@ -219,37 +300,29 @@ class ProductTwoCop(CopStrategy):
 
         # Orientation at the start of the round.
         if c1_slot is None:
-            dx = dist1[x1][r1_start]
-            dy = dist1[y1][r1_start]
+            dx, dy = dist1[x1][r1_start], dist1[y1][r1_start]
             if dx == dy:
                 raise StrategyInvariantError(
                     f"tied pair distances {dx} in a tree; parity violated"
                 )
             c1_slot = 0 if dx < dy else 1
         u1, v1 = (x1, y1) if c1_slot == 0 else (y1, x1)
-        dU = dist1[u1][r1_start]
-        dV = dist1[v1][r1_start]
-        d2 = self._dist2[u2][r2_start]
+        dU, dV, d2 = dist1[u1][r1_start], dist1[v1][r1_start], self._dist2[u2][r2_start]
         if dV != dU + 1:
             raise StrategyInvariantError(
                 f"pair spacing broken at round start: d(u1,r1)={dU}, d(v1,r1)={dV}"
             )
 
         matched = d2 == dU or d2 == dV
-        if phase == PHASE_EQUALIZE and matched:
+        entering = phase == PHASE_EQUALIZE and matched
+        if entering:
             # Endgame entry happens at a round boundary: the distances matched
             # with the robber to move, so her latest move gets the endgame
-            # reply below.
+            # reply; respond asserts the invariants on every such reply.
             phase = PHASE_ENDGAME
             if root1 is None:
                 root1 = v1
-            stats["endgame_entries"] += 1
-            self._assert_invariants(u1, v1, u2, r_start, root1, "endgame entry")
-
-        # Both phases pick the tree in which both cops step toward the
-        # robber; only the endgame may capture instead.
-        r1, r2 = r_now
-        descend = 0  # 1 or 2: the tree both cops step down in; 0 for a capture
+        descend = 0  # 1 or 2: the tree both cops step down in; 0: her move decides
         if phase == PHASE_EQUALIZE:
             # Committed from the round-start distances: close the gap in the
             # odd tree if d2 < dU, else (d2 > dV) in the even tree.
@@ -257,71 +330,17 @@ class ProductTwoCop(CopStrategy):
             if descend == 1 and root1 is None:
                 # The first odd-tree descent freezes orientation and root.
                 root1 = v1
-        else:
-            if not matched:
-                raise StrategyInvariantError(
-                    f"endgame round started with unmatched distances: d2={d2}, dU={dU}, dV={dV}"
-                )
-            if r1 != r1_start and r2 != r2_start:
-                raise StrategyInvariantError(
-                    f"robber changed both coordinates: {r_start} -> {r_now}"
-                )
-            eU = dist1[u1][r1]
-            e2 = self._dist2[u2][r2]
-            if dist1[v1][r1] == 0:
-                # She climbed onto the far cop's column: it steps onto her.
-                if e2 != 1:
-                    raise StrategyInvariantError(
-                        "capture case (odd-tree ascent) without unit distance"
-                    )
-                near, far = (u1, u2), (v1, r2)
-            elif e2 == 0:
-                # She climbed onto the cops' row: the near cop steps onto her.
-                if eU != 1:
-                    raise StrategyInvariantError(
-                        "capture case (even-tree ascent) without unit distance"
-                    )
-                near, far = (r1, u2), (v1, u2)
-            else:
-                descend = 2 if e2 > eU else 1
-
-        if descend == 1:
-            if u1 == r1:
-                raise StrategyInvariantError(
-                    f"odd-tree descent with cop already at robber column {r1}"
-                )
-            hop = self._hop1[r1]
-            nu1 = hop[u1]
-            nv1 = hop[v1]
-            if nv1 != u1:
-                raise StrategyInvariantError(
-                    f"pair did not contract while descending: {v1}->{nv1}, expected {u1}"
-                )
-            near, far = (nu1, u2), (nv1, u2)
-        elif descend == 2:
-            if u2 == r2:
-                raise StrategyInvariantError(
-                    f"even-tree descent with cop already at robber row {r2}"
-                )
-            w = self._hop2[r2][u2]
-            near, far = (u1, w), (v1, w)
-        if phase == PHASE_ENDGAME and r_now != near and r_now != far:
-            self._assert_invariants(
-                near[0], far[0], near[1], r_now, root1, "after endgame move"
+        elif not matched:
+            raise StrategyInvariantError(
+                f"endgame round started with unmatched distances: d2={d2}, dU={dU}, dV={dV}"
             )
-
-        first, second = (near, far) if c1_slot == 0 else (far, near)
-        flat_of = self._flat_of
-        new_cops = (flat_of[first[0]][first[1]], flat_of[second[0]][second[1]])
-        if new_cops[0] is None or new_cops[1] is None:
-            # A move onto the virtual leaf: _flat raises the error naming it.
-            new_cops = (self._flat(first), self._flat(second))
-        if root1 is None:
-            # Orientation still floats: the pair has not moved in the odd
-            # tree, so the robber can legitimately cross sides.
-            c1_slot = None
-        # tuple.__new__ fills the named tuple in C, with no Python frame.
-        return new_cops, _new_tuple(TwoPhaseMemory, (phase, state.robber, c1_slot, root1))
+        # While the pair has not moved in the odd tree the orientation
+        # floats (c1_out is None): the robber can legitimately cross sides.
+        record = (cops, memory, phase, entering, descend, c1_slot,
+                  None if root1 is None else c1_slot, root1, u1, v1, u2, r_start)
+        if type(cops) is tuple and type(memory) is TwoPhaseMemory:
+            self._start = record
+        return record
 
     # -- invariants -----------------------------------------------------------
 

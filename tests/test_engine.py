@@ -296,6 +296,39 @@ def test_every_rejected_cop_reply_keeps_its_message(start, reply, message, order
         simulate(path_graph(5), config, ScriptedCop(start, reply), ScriptedRobber(4))
 
 
+# Two cops on P6 at 0 and 3, the robber at 5: the search checks each reply
+# inline and hands any it does not pass to the check that names the fault.
+@pytest.mark.parametrize("reply, message", [
+    (lambda cops: cops[:1], "cops returned 1 positions for 2 cops"),
+    (lambda cops: cops + (cops[1],), "cops returned 3 positions for 2 cops"),
+    (lambda cops: (cops[0] + 1, cops[1] + 2), "cop 1 moved 3 -> 5, not a stay or an edge"),
+    # Vertex 1 is next to the first cop, not to the second.
+    (lambda cops: (cops[0], cops[0] + 1), "cop 1 moved 3 -> 1, not a stay or an edge"),
+    (lambda cops: [cops[0], cops[1] + 2], "cop 1 moved 3 -> 5, not a stay or an edge"),
+], ids=["short", "long", "second-jumps", "second-to-first-neighbour", "list-second-jumps"])
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_two_cop_replies_that_break_the_rules_keep_their_message(reply, message, order):
+    config = GameConfig(cop_count=2, move_order=order)
+    with pytest.raises(IllegalMoveError, match=f"^{message}$"):
+        best_response_length(path_graph(6), config, ScriptedCop((0, 3), reply))
+    with pytest.raises(IllegalMoveError, match=f"^{message}$"):
+        simulate(path_graph(6), config, ScriptedCop((0, 3), reply), ScriptedRobber(5))
+
+
+@pytest.mark.parametrize("order", list(MoveOrder))
+def test_a_legal_two_cop_reply_given_as_a_list_is_accepted(order):
+    # Both cops step right until they reach the end of P6, where the robber
+    # is caught in round 4; a list reply is searched exactly as a tuple.
+    def step(cops):
+        return [min(c + 1, 5) for c in cops]
+
+    config = GameConfig(cop_count=2, move_order=order)
+    as_list = best_response_length(path_graph(6), config, ScriptedCop((0, 1), step))
+    as_tuple = best_response_length(path_graph(6), config,
+                                    ScriptedCop((0, 1), lambda cops: tuple(step(cops))))
+    assert as_list == as_tuple == 4
+
+
 def test_check_cop_moves_rejects_a_bool_for_vertex_one():
     from treecops.engine import _check_cop_moves
 

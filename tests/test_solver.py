@@ -169,6 +169,41 @@ def test_huge_cop_count_is_refused_before_any_power(k):
     assert exc.value.count > 10**30
 
 
+# Each refusal names the count that it compared with the budget.
+def test_budget_error_names_the_first_stage_count():
+    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~405 stored entries "
+                       r"\(cop tuples x max\(9 vertices, 2 cops\)\) > budget 10$") as exc:
+        solve(grid_graph(3, 3), 2, state_budget=10)
+    assert exc.value.count == 9 * 45
+    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~256000000 "
+                       r"state-equivalents of per-cop tables \(1000000 cops x 2\^8\) > "):
+        solve(build_graph(1, []), 10**6)
+    # A count of tens of thousands of digits is written as a power of two,
+    # since Python does not turn it into text.
+    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~2\^48349 ") as exc:
+        solve(grid_graph(100, 100), 10**5)
+    assert exc.value.count.bit_length() == 48350
+
+
+def test_budget_error_names_the_huge_cop_count_bound():
+    # 20 * C(22, 20) = 4620 stored entries pass a budget of 10^4 (14 bits),
+    # and 20 cops with 2 or more moves each give at least 2^14 pairs.
+    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: at least 16384 "
+                       r"state-successor pairs \(20 cops, each with 2 or more moves\) "
+                       r"> budget 10000$") as exc:
+        solve(path_graph(3), 20, state_budget=10**4)
+    assert exc.value.count == 2**14
+
+
+def test_budget_error_names_the_state_successor_estimate():
+    # 405 stored entries pass a budget of 1000; 45 tuples x (24 + 9 + 9 * 25)
+    # state-successor pairs do not.
+    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~11610 "
+                       r"state-successor pairs > budget 1000$") as exc:
+        solve(grid_graph(3, 3), 2, state_budget=1000)
+    assert exc.value.count == 11610
+
+
 def test_naive_budget_error():
     with pytest.raises(ResourceBudgetError):
         naive_value_iteration(grid_graph(4, 4), 2, state_budget=100)

@@ -532,3 +532,118 @@ def test_two_phase_memory_compares_by_fields():
     assert len({a, b}) == 1
     assert a != TwoPhaseMemory("endgame", 7, 0, 3)
     assert a._replace(prev_robber=9) == TwoPhaseMemory("endgame", 9, 1, 3)
+
+
+# ProductTwoCop keeps the round-start part of its last reply and reuses it
+# while the cops and the memory are the very same objects.  A fresh
+# instance, asked once, has nothing to reuse: its reply is the reference.
+def _reply_or_error(strategy, g, state, memory):
+    try:
+        return strategy.respond(g, state, memory)
+    except StrategyInvariantError as exc:
+        return f"raised: {exc}"
+
+
+def _fresh(prod, g, state, memory):
+    return _reply_or_error(ProductTwoCop(prod), g, state, memory)
+
+
+@pytest.mark.parametrize("order", list(MoveOrder))
+@pytest.mark.parametrize("sizes, seeds", [((5, 7), (1, 2)), ((8, 6), (3, 4)), ((7, 7), (5, 6)),
+                                          ((9, 4), (7, 8))])
+def test_every_reply_of_the_search_equals_a_fresh_strategys(sizes, seeds, order, monkeypatch):
+    prod = cartesian_product(random_tree(sizes[0], seeds[0]), random_tree(sizes[1], seeds[1]))
+    g = prod.flat
+    strategy = ProductTwoCop(prod)
+    respond = strategy.respond
+    asked = []
+
+    def recorded(g, state, memory):
+        reply = respond(g, state, memory)
+        asked.append((state, memory, reply))
+        return reply
+
+    monkeypatch.setattr(strategy, "respond", recorded)
+    best_response_length(g, GameConfig(cop_count=2, move_order=order), strategy)
+    assert len(asked) == strategy.stats["responses"] > 0
+    for state, memory, reply in asked:
+        assert _fresh(prod, g, state, memory) == reply
+
+
+def _two_round_starts(prod):
+    """Two states with their memories, after two different robber placements."""
+    strategy = ProductTwoCop(prod)
+    g = prod.flat
+    cops, memory = strategy.place(g)
+    starts = []
+    for robber in (0, g.vertex_count - 1):
+        placed = strategy.observe_placement(g, GameState(cops, robber, 0, Side.ROBBER), memory)
+        starts.append((GameState(cops, robber, 1, Side.COPS), placed))
+    return starts
+
+
+def test_interleaved_replies_equal_fresh_replies():
+    prod = cartesian_product(path_graph(4), path_graph(5))
+    g = prod.flat
+    (state_a, memory_a), (state_b, memory_b) = _two_round_starts(prod)
+    strategy = ProductTwoCop(prod)
+    want_a, want_b = _fresh(prod, g, state_a, memory_a), _fresh(prod, g, state_b, memory_b)
+    assert want_a != want_b
+    for state, memory, want in [(state_a, memory_a, want_a), (state_b, memory_b, want_b),
+                                (state_a, memory_a, want_a)]:
+        assert strategy.respond(g, state, memory) == want
+    assert strategy.stats["responses"] == 3
+
+
+def test_equal_but_distinct_objects_get_the_same_reply():
+    prod = cartesian_product(path_graph(4), path_graph(5))
+    g = prod.flat
+    (state, memory), _ = _two_round_starts(prod)
+    strategy = ProductTwoCop(prod)
+    want = strategy.respond(g, state, memory)
+    copy_state = GameState(tuple(list(state.cops)), state.robber, 1, Side.COPS)
+    copy_memory = TwoPhaseMemory(*memory)
+    assert copy_state.cops is not state.cops and copy_memory is not memory
+    assert strategy.respond(g, copy_state, copy_memory) == want
+    assert strategy.respond(g, copy_state, memory) == want
+    assert _fresh(prod, g, copy_state, copy_memory) == want
+
+
+def test_the_same_memory_with_other_cops_is_read_again():
+    prod = cartesian_product(path_graph(4), path_graph(5))
+    g = prod.flat
+    (state, memory), _ = _two_round_starts(prod)
+    moved, _ = ProductTwoCop(prod).respond(g, state, memory)
+    other = GameState(moved, state.robber, 1, Side.COPS)
+    want = _fresh(prod, g, other, memory)
+    strategy = ProductTwoCop(prod)
+    assert strategy.respond(g, state, memory) != want
+    assert _reply_or_error(strategy, g, other, memory) == want
+
+
+def test_a_cops_list_mutated_between_calls_is_read_again():
+    prod = cartesian_product(path_graph(4), path_graph(5))
+    g = prod.flat
+    (state, memory), _ = _two_round_starts(prod)
+    moved, _ = ProductTwoCop(prod).respond(g, state, memory)
+    strategy = ProductTwoCop(prod)
+    cops = list(state.cops)
+    before = GameState(cops, state.robber, 1, Side.COPS)
+    want_before = _fresh(prod, g, GameState(tuple(cops), state.robber, 1, Side.COPS), memory)
+    assert _reply_or_error(strategy, g, before, memory) == want_before
+    cops[:] = moved
+    want_after = _fresh(prod, g, GameState(tuple(moved), state.robber, 1, Side.COPS), memory)
+    assert want_after != want_before
+    assert _reply_or_error(strategy, g, before, memory) == want_after
+
+
+def test_a_round_start_that_raises_raises_on_every_reply():
+    prod = cartesian_product(path_graph(4), path_graph(5))
+    g = prod.flat
+    (state, memory), _ = _two_round_starts(prod)
+    strategy = ProductTwoCop(prod)
+    unplaced = memory._replace(prev_robber=None)
+    for _ in range(2):
+        with pytest.raises(StrategyInvariantError, match="not shown the robber placement"):
+            strategy.respond(g, state, unplaced)
+    assert strategy.respond(g, state, memory) == _fresh(prod, g, state, memory)

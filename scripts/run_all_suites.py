@@ -29,11 +29,11 @@ def main() -> int:
         started = time.perf_counter()
         result = run_suite(name, **options)
         elapsed = time.perf_counter() - started
-        print(f"{result.summary()} time={elapsed:.1f}s")
-        if not result.passed:
+        counts = result.counts()
+        print(f"{result.summary(counts)} time={elapsed:.1f}s")
+        if not counts.passed:
             failed = True
-            npass, nfail, _ = result.counts()
-            if npass == nfail == 0:
+            if counts.npass == counts.nfail == 0:
                 print(f"  NO CLAIM PASSED: suite {name} checked nothing", file=sys.stderr)
             for report in result.failing_reports():
                 print(f"  FAILING: {report.instance}", file=sys.stderr)

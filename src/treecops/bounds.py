@@ -10,6 +10,7 @@ empty checks.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,11 +23,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 VACUOUS = "VACUOUS"
 
-_RELATIONS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
 
 class Claim(NamedTuple):
@@ -49,7 +46,8 @@ def make_claim(claim_id: str, lhs: CaptureValue, relation: str, rhs: CaptureValu
     lhs = -1 if lhs is ESCAPE else lhs
     rhs = -1 if rhs is ESCAPE else rhs
     ok = _RELATIONS[relation](lhs, rhs)
-    return Claim(claim_id, lhs, relation, rhs, PASS if ok else FAIL)
+    # tuple.__new__ skips the NamedTuple's Python-level constructor.
+    return tuple.__new__(Claim, (claim_id, lhs, relation, rhs, PASS if ok else FAIL))
 
 
 def vacuous_claim(claim_id: str) -> Claim:
@@ -119,26 +117,25 @@ def _distance_rows(g: Graph, central_tuples) -> dict[int, list[int]]:
 def check_lemma3(g: Graph, capture_time: CaptureValue,
                  central_tuples: tuple[tuple[int, int], ...]) -> BoundReport:
     """d(u,c1) + d(u,c2) <= 2*capt + 1 for every central pair and every
-    qualifying 4-cycle vertex u."""
+    qualifying 4-cycle vertex u; a u listed again (the list is sorted, so
+    repeats are adjacent) appends the same claim object again."""
     report = BoundReport(instance=f"lemma3[n={g.vertex_count}]")
     if is_escape(capture_time):
         return _escaped(report, "capt2-finite")
-    t = capture_time
     qualifying = qualifying_c4_vertices(g)
     if not qualifying:
         report.claims.append(vacuous_claim("lemma3"))
         return report
     dist = _distance_rows(g, central_tuples)
+    bound, claims = 2 * capture_time + 1, report.claims
     for c1, c2 in central_tuples:
+        d1, d2 = dist[c1], dist[c2]
+        last = None
         for u in qualifying:
-            report.claims.append(
-                make_claim(
-                    f"lemma3[c=({c1},{c2}),u={u}]",
-                    dist[c1][u] + dist[c2][u],
-                    "<=",
-                    2 * t + 1,
-                )
-            )
+            if u != last:
+                last = u
+                claim = make_claim(f"lemma3[c=({c1},{c2}),u={u}]", d1[u] + d2[u], "<=", bound)
+            claims.append(claim)
     return report
 
 

@@ -115,12 +115,13 @@ def cmd_verify(args) -> int:
         print(f"suite {args.suite!r} aborted by invariant violation: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     for report in result.reports:
-        for line in report.lines():
-            print(f"{line}  # {report.instance}")
-    print(result.summary())
-    if not result.passed:
-        npass, nfail, _ = result.counts()
-        if npass == nfail == 0:
+        if report.claims:  # one write per report, and no blank line
+            tail = f"  # {report.instance}"
+            print("\n".join([line + tail for line in report.lines()]))
+    counts = result.counts()
+    print(result.summary(counts))
+    if not counts.passed:
+        if counts.npass == counts.nfail == 0:
             print(f"suite {args.suite!r} checked no claim: nothing passed", file=sys.stderr)
         failing = result.failing_reports()
         if failing:

@@ -14,12 +14,15 @@ also solves each product's factors at one cop, outside the memo.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bounds import (
     BoundReport,
     FAIL,
     PASS,
+    VACUOUS,
     check_corollaries,
     check_lemma3,
     check_multi_tree_bounds,
@@ -42,39 +45,37 @@ from .solver import capture_time_both_orders, solve
 from .tree_strategies import ProductTwoCop, TreeChaseCop
 
 
+class Counts(NamedTuple):
+    npass: int
+    nfail: int
+    nvac: int
+
+    @property
+    def passed(self) -> bool:
+        """No claim failed and one passed: checking nothing is no pass."""
+        return self.nfail == 0 and self.npass > 0
+
+
 @dataclass
 class SuiteResult:
     name: str
     reports: list[BoundReport] = field(default_factory=list)
 
-    def counts(self) -> tuple[int, int, int]:
-        npass = nfail = nvac = 0
-        for report in self.reports:
-            for claim in report.claims:
-                if claim.status == PASS:
-                    npass += 1
-                elif claim.status == FAIL:
-                    nfail += 1
-                else:
-                    nvac += 1
-        return npass, nfail, nvac
+    def counts(self) -> Counts:
+        tally = Counter(claim.status for report in self.reports for claim in report.claims)
+        return Counts(tally[PASS], tally[FAIL], tally[VACUOUS])
 
     @property
     def passed(self) -> bool:
-        """No claim failed and at least one passed: a run that checked
-        nothing (no claims, or only vacuous ones) does not pass."""
-        npass, nfail, _ = self.counts()
-        return nfail == 0 and npass > 0
+        return self.counts().passed
 
     def failing_reports(self) -> list[BoundReport]:
         return [r for r in self.reports if not r.passed]
 
-    def summary(self) -> str:
-        npass, nfail, nvac = self.counts()
-        return (
-            f"SUMMARY suite={self.name} reports={len(self.reports)} "
-            f"pass={npass} fail={nfail} vacuous={nvac}"
-        )
+    def summary(self, counts: Counts | None = None) -> str:
+        npass, nfail, nvac = counts or self.counts()
+        return (f"SUMMARY suite={self.name} reports={len(self.reports)} "
+                f"pass={npass} fail={nfail} vacuous={nvac}")
 
 
 def tree_pair_corpus(

@@ -15,6 +15,7 @@ from treecops.bounds import (
     FAIL,
     PASS,
     VACUOUS,
+    Claim,
     check_corollaries,
     check_lemma3,
     check_multi_tree_bounds,
@@ -25,6 +26,8 @@ from treecops.bounds import (
     three_tree_bounds,
     vacuous_claim,
 )
+from treecops.graphs import bfs_distances
+from treecops.suites import tree_pair_corpus
 
 
 def _slim(result):
@@ -38,6 +41,25 @@ def test_claim_statuses_and_lines():
     assert claim.line() == "CLAIM x 2 <= 5 PASS"
     assert make_claim("x", 6, "<=", 5).status == FAIL
     assert vacuous_claim("y").line() == "CLAIM y 0 <= 0 VACUOUS"
+
+
+def test_make_claim_returns_a_claim_for_each_relation_and_escape():
+    cases = [
+        (2, "<=", 5, PASS), (6, "<=", 5, FAIL), (5, "<=", 5, PASS),
+        (5, ">=", 2, PASS), (2, ">=", 5, FAIL), (3, ">=", 3, PASS),
+        (4, "==", 4, PASS), (4, "==", 3, FAIL),
+        (ESCAPE, ">=", 0, FAIL), (ESCAPE, "<=", 0, PASS), (ESCAPE, "==", -1, PASS),
+        (0, ">=", ESCAPE, PASS), (3, "<=", ESCAPE, FAIL), (ESCAPE, "==", ESCAPE, PASS),
+    ]
+    for lhs, relation, rhs, status in cases:
+        claim = make_claim("x[1]", lhs, relation, rhs)
+        want = Claim("x[1]", -1 if lhs is ESCAPE else lhs, relation,
+                     -1 if rhs is ESCAPE else rhs, status)
+        assert type(claim) is Claim
+        assert claim == want and claim._asdict() == want._asdict()
+        assert (claim.claim_id, claim.lhs, claim.relation, claim.rhs, claim.status) == tuple(want)
+        assert claim.line() == want.line() == (
+            f"CLAIM x[1] {want.lhs} {relation} {want.rhs} {status}")
 
 
 def _qualifying_by_subsets(g):
@@ -129,6 +151,29 @@ def test_lemma3_explicit_corners_of_p4_x_p3():
     vertices = set(qualifying_c4_vertices(g))
     assert prod.flat_of(0, 0) in vertices
     assert prod.flat_of(3, 2) in vertices
+
+
+def test_lemma3_equals_one_fresh_claim_per_pair_and_listed_vertex():
+    corpus = tree_pair_corpus(42, 50, 2, 7)  # the suite's default corpus
+    products = [cartesian_product(t1, t2).flat for t1, t2, _ in corpus[:3]]
+    repeated = 0
+    for g in [grid_graph(5, 5), cycle_graph(4), *products]:
+        capt, central = _slim(solve(g, 2))
+        want = []
+        for c1, c2 in central:
+            d1, d2 = bfs_distances(g, c1), bfs_distances(g, c2)
+            for u in qualifying_c4_vertices(g):
+                lhs, rhs = d1[u] + d2[u], 2 * capt + 1
+                want.append(Claim(f"lemma3[c=({c1},{c2}),u={u}]", lhs, "<=", rhs,
+                                  PASS if lhs <= rhs else FAIL))
+        claims = check_lemma3(g, capt, central).claims
+        assert claims == want  # order, multiplicity, ids and values
+        assert [c.claim_id for c in claims] == [c.claim_id for c in want]
+        for before, after in zip(claims, claims[1:]):
+            if after.claim_id == before.claim_id:
+                assert after is before
+                repeated += 1
+    assert repeated  # the grid's inner vertices lie on several squares
 
 
 def test_theorem2_on_p4_x_p3():

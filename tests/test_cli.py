@@ -605,6 +605,62 @@ def test_verify_stdout_at_defaults_is_pinned(capsys, tmp_path, suite, prefix):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
 
 
+def _claims_then_summary(out, claims):
+    lines = out.split("\n")
+    assert lines.pop() == ""  # the output ends with one newline
+    assert "" not in lines
+    assert len(lines) == claims + 1 and lines[-1].startswith("SUMMARY ")
+    assert all(line.startswith("CLAIM ") for line in lines[:-1])
+    return lines
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "corollary-grid", "--max", "3"),
+    ("--suite", "lemma3", "--count", "3", "--max-size", "4"),
+    ("--suite", "three-trees"),
+])
+def test_verify_writes_one_line_per_claim_and_a_summary(capsys, tmp_path, argv):
+    from treecops.suites import run_suite
+
+    result = run_suite(argv[1], count=3, max_size=4, max_mn=3)  # each takes what argv sets
+    rc, out, _ = run_cli(capsys, "verify", *argv, "--out", str(tmp_path / "f"))
+    assert rc == EXIT_OK
+    lines = _claims_then_summary(out, sum(len(r.claims) for r in result.reports))
+    assert lines[:-1] == [f"{line}  # {r.instance}" for r in result.reports for line in r.lines()]
+
+
+def test_verify_writes_nothing_for_a_report_without_claims(capsys, tmp_path, monkeypatch):
+    import treecops.suites as suites
+    from treecops.bounds import BoundReport, make_claim
+
+    def fake():
+        result = suites.SuiteResult("fake")
+        result.reports = [
+            BoundReport("a", [make_claim("x", 1, "<=", 2), make_claim("y", 3, "==", 3)]),
+            BoundReport("empty"),
+            BoundReport("b", [make_claim("z", 0, ">=", 0)]),
+            BoundReport("empty-at-end"),
+        ]
+        return result
+
+    monkeypatch.setitem(suites.SUITES, "three-trees", fake)
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "three-trees", "--out", str(tmp_path / "f"))
+    assert rc == EXIT_OK
+    assert _claims_then_summary(out, 3) == [
+        "CLAIM x 1 <= 2 PASS  # a", "CLAIM y 3 == 3 PASS  # a", "CLAIM z 0 >= 0 PASS  # b",
+        "SUMMARY suite=fake reports=4 pass=3 fail=0 vacuous=0"]
+
+
+def test_verify_lemma3_at_defaults_repeats_its_claim_lines(capsys, tmp_path):
+    # One claim per (central pair, qualifying cycle through u): a vertex on
+    # several cycles repeats its line, and the pinned stdout keeps them.
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "lemma3", "--out", str(tmp_path / "f"))
+    assert rc == EXIT_OK
+    claims = [line for line in out.splitlines() if line.startswith("CLAIM ")]
+    assert len(claims) == 35844
+    assert len(set(claims)) == 14421
+
+
 @pytest.mark.parametrize("argv, claim", [
     (("--suite", "theorem2", "--count", "2", "--max-size", "3"), "capt2-finite"),
     (("--suite", "sandwich", "--count", "2", "--max-size", "3"), "capt2-finite"),

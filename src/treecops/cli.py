@@ -67,7 +67,7 @@ def load_graph_source(source: str) -> Graph:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         budget, source = args.budget, "--budget"
     else:
         env = os.environ.get(BUDGET_ENV)
@@ -82,14 +82,10 @@ def _budget(args) -> int:
     return budget
 
 
-def _order(args) -> MoveOrder:
-    return MoveOrder(args.order)
-
-
 def cmd_solve(args) -> int:
     g = load_graph_source(args.graph)
     started = time.perf_counter()
-    result = solve(g, args.cops, _order(args), state_budget=_budget(args))
+    result = solve(g, args.cops, MoveOrder(args.order), state_budget=_budget(args))
     elapsed = time.perf_counter() - started
     if is_escape(result.capture_time):
         print("capt=ESCAPE")
@@ -177,7 +173,7 @@ def _play(args, t1: Graph, t2: Graph | None = None) -> tuple[Outcome, str]:
     product = cartesian_product(t1, t2) if t2 is not None else None
     g = product.flat if product is not None else t1
     k = args.k if args.k is not None else (2 if product is not None else 1)
-    order, budget = _order(args), _budget(args)
+    order, budget = MoveOrder(args.order), _budget(args)
     config = GameConfig(cop_count=k, move_order=order, max_rounds=args.max_rounds)
     # Both optimal strategies play from one solve, made only if one asks.
     solved = functools.cache(lambda: solve(g, k, order, state_budget=budget))

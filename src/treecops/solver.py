@@ -49,7 +49,8 @@ distinct edge offset d = u - v gives one (mask, shift) pair: the mask
 holds the tuples whose i-th vertex x has the neighbour x + d, and the
 shift is d * n^i.  These pairs, built per solve, are the whole move
 relation: no move list or rank table is stored.  The pass stops when no
-R grows; the bits never set are ESCAPE.
+R grows; the bits never set are ESCAPE.  A single vertex needs no pass:
+every cop tuple covers it, so no state is free and the capture time is 0.
 
 The offsets depend on the vertex labels.  When the BFS order from a
 vertex farthest from 0 has fewer distinct offsets than the given labels,
@@ -63,7 +64,8 @@ plane j of column r), so the pass does no per-state work.  Every level
 is at least 1, so a free state with no bit set is ESCAPE, and F and R
 serve only to find the tuples with every free state resolved.  After
 the pass only the planes are kept, each column as ``bytes`` and indexed
-by the robber vertex, not the pass's label, so that a lookup is O(1).
+by the robber vertex, not the pass's label, so that a lookup is O(1);
+one decoder, ``_Half.items()``, reads whole groups of columns at a time.
 Each half also keeps the union of its gains at every level and the
 tuples with every free state resolved, which give the capture time and
 the central tuples without reading a state.  The move order only selects
@@ -92,9 +94,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Iterable
 
 from .engine import (
@@ -164,29 +166,18 @@ class _Half(Mapping):
         return self.at(self.position(cops), r)
 
     def __iter__(self):
-        tuples = list(itertools.combinations_with_replacement(range(self.n), self.k))
-        for r in range(self.n):
-            for t in tuples:
-                if r not in t:
-                    yield (t, r)
+        return map(itemgetter(0), self.items())
 
     def __len__(self) -> int:
         return self.size
 
     def items(self):
-        return _HalfItems(self)
+        """(key, value) pairs, robber by robber, decoded one group of robbers at a time.
 
-    def values(self):
-        return _HalfValues(self)
-
-    def _decoded(self, keyed: bool):
-        """Lists of values, or of (key, value) pairs, in ``__iter__`` order.
-
-        One list per group of robbers: the group's planes become strings
-        of "0"/"1", one character per (robber, position), and the
-        characters of one state, read across them, map to its value.  A
-        group holds about 2^16 positions, so small tables are decoded in
-        one go and large ones never as a whole.
+        A group's planes become strings of "0"/"1", one character per
+        (robber, position), and the characters of one state, read across
+        them, map to its value.  A group holds about 2^16 positions, so
+        small tables are decoded in one go and large ones never as a whole.
         """
         n = self.n
         tuples = list(itertools.combinations_with_replacement(range(n), self.k))
@@ -194,19 +185,21 @@ class _Half(Mapping):
         stride = 8 * len(self.planes[0][0])
         value = _plane_values(len(self.planes))
         group = max(1, (1 << 16) // stride)
-        for lo in range(0, n, group):
+
+        def decoded(lo: int) -> list:
             robbers = range(lo, min(n, lo + group))
             columns = []
             for plane in self.planes:
                 bits = b"".join(plane[lo:robbers.stop])
                 columns.append(format(int.from_bytes(bits, "little"), f"0{len(bits) * 8}b")[::-1])
             values = list(map(value.__getitem__, zip(*columns)))
-            if keyed:
-                yield [((t, r), values[i * stride + p]) for i, r in enumerate(robbers)
-                       for t, p in zip(tuples, spots) if r not in t]
-            else:
-                yield [values[i * stride + p] for i, r in enumerate(robbers)
-                       for t, p in zip(tuples, spots) if r not in t]
+            return [((t, r), values[i * stride + p]) for i, r in enumerate(robbers)
+                    for t, p in zip(tuples, spots) if r not in t]
+
+        return itertools.chain.from_iterable(map(decoded, range(0, n, group)))
+
+    def values(self):
+        return map(itemgetter(1), self.items())
 
     def attains(self, p: int, r: int, v: CaptureValue) -> bool:
         """Whether free state (ordered tuple at position p, r) has value v: v >= 1, or ESCAPE.
@@ -242,23 +235,6 @@ def _plane_values(planes: int) -> dict[tuple[str, ...], CaptureValue]:
     """Value of a position from its (plane 0, plane 1, ...) bits as characters; none set: ESCAPE."""
     return {bits: int("".join(reversed(bits)), 2) or ESCAPE
             for bits in itertools.product("01", repeat=planes)}
-
-
-class _HalfItems(ItemsView):
-    """``_Half.items()``: decodes whole robber columns, not state by state."""
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self._mapping._decoded(keyed=True))
-
-
-class _HalfValues(ValuesView):
-    """``_Half.values()``, decoded like ``items()``; ``in`` reads it too."""
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self._mapping._decoded(keyed=False))
-
-    def __contains__(self, value) -> bool:
-        return any(v is value or v == value for v in self)
 
 
 @dataclass(frozen=True)
@@ -588,28 +564,26 @@ def solve(
     """Exact capture time, central tuples, and the full value table."""
     if k < 1:
         raise InputError("solve needs k >= 1")
-    # A solve stores every state and every cop of every tuple: refuse on
-    # that count first, as a huge k makes (max degree + 1)^k too big.
-    # One vertex has one state for any k, and there the pass's per-cop
-    # tables dominate: each costs about as much as 2^8 states.
-    # The message names the count that was compared with the budget.
-    n, bound = g.vertex_count, "~"
-    if n != 1:
-        estimate = max(n, k) * math.comb(n + k - 1, k)
-        what = f"stored entries (cop tuples x max({n} vertices, {k} cops))"
+    # Refuse before anything is built.  One vertex has one state for any
+    # k, but its answer holds k-cop tuples: each cop counts as 2^8 states.
+    # Otherwise every cop has two or more moves, so (max degree + 1)^k >=
+    # 2^k passes any budget b once k >= b.bit_length(): refuse then
+    # without forming the power.  The message names the count compared.
+    n = g.vertex_count
+    if n == 1:
+        estimate, bound, what = k << 8, "~", f"state-equivalents of per-cop tables ({k} cops x 2^8)"
+    elif k >= state_budget.bit_length():
+        estimate, bound = 1 << state_budget.bit_length(), "at least "
+        what = f"state-successor pairs ({k} cops, each with 2 or more moves)"
     else:
-        estimate, what = k << 8, f"state-equivalents of per-cop tables ({k} cops x 2^8)"
-    if estimate <= state_budget:
-        if n >= 2 and k >= state_budget.bit_length():
-            # (max degree + 1)^k >= 2^k passes any budget b once
-            # k >= b.bit_length(): refuse then without forming the power.
-            estimate, bound = 1 << state_budget.bit_length(), "at least "
-            what = f"state-successor pairs ({k} cops, each with 2 or more moves)"
-        else:
-            estimate, what = _estimate_pairs(g, k), "state-successor pairs"
+        estimate, bound, what = _estimate_pairs(g, k), "~", "state-successor pairs"
     if estimate > state_budget:
         raise ResourceBudgetError(f"solve budget exceeded: {bound}{_count_text(estimate)} {what} "
                                   f"> budget {_count_text(state_budget)}", estimate)
+    if n == 1:
+        # Every cop tuple covers the only vertex: the cops capture at placement.
+        empty = _Half(1, k, [0], [[0]] * k, 0, [[bytes(1)]], [0], 1)
+        return SolveResult(0, ((0,) * k,), ValueTable(g, k, order, empty, empty))
     halves = _retrograde(g, k)
     first, second = _HALF_MOVES[order]
     capture_time, central = _capture(halves[first])

@@ -137,6 +137,22 @@ def test_solve_dump_of_an_empty_table_is_empty(tmp_path, capsys):
     assert dump.read_bytes() == b""
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("order", ["robber-first", "cops-first"])
+def test_solve_one_vertex_dumps_an_empty_table_without_a_pass(tmp_path, capsys, monkeypatch, k, order):
+    def no_pass(g, k):
+        raise AssertionError("a one-vertex game needs no pass")
+
+    monkeypatch.setattr(treecops.solver, "_retrograde", no_pass)
+    graph, dump = tmp_path / "one.g", tmp_path / "table.txt"
+    graph.write_text("1 0\n")
+    rc, out, _ = run_cli(capsys, "solve", "--graph", str(graph), "--cops", str(k),
+                         "--order", order, "--dump-table", str(dump))
+    assert rc == EXIT_OK
+    assert out == f"capt=0\ncentral: ({','.join(['0'] * k)})\nstates=0\n"
+    assert dump.read_bytes() == b""
+
+
 def test_solve_budget_exit_code(capsys):
     rc, _, err = run_cli(
         capsys, "solve", "--graph", "grid:3x3", "--cops", "2", "--budget", "10"

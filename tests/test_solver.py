@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from collections.abc import Mapping
 
 import pytest
@@ -28,6 +29,7 @@ from treecops import (
     solve,
     star_graph,
 )
+from treecops import solver
 from treecops.engine import ResourceBudgetError
 from treecops.generators import SplitMix64
 from treecops.solver import (
@@ -170,24 +172,72 @@ def test_huge_cop_count_is_refused_before_any_power(k):
 
 
 # Each refusal names the count that it compared with the budget.
-def test_budget_error_names_the_first_stage_count():
-    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~405 stored entries "
-                       r"\(cop tuples x max\(9 vertices, 2 cops\)\) > budget 10$") as exc:
+def test_budget_error_names_the_compared_count():
+    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~11610 "
+                       r"state-successor pairs > budget 10$") as exc:
         solve(grid_graph(3, 3), 2, state_budget=10)
-    assert exc.value.count == 9 * 45
+    assert exc.value.count == 11610
     with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~256000000 "
                        r"state-equivalents of per-cop tables \(1000000 cops x 2\^8\) > "):
         solve(build_graph(1, []), 10**6)
-    # A count of tens of thousands of digits is written as a power of two,
-    # since Python does not turn it into text.
-    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~2\^48349 ") as exc:
-        solve(grid_graph(100, 100), 10**5)
-    assert exc.value.count.bit_length() == 48350
+    # A count of thousands of digits is written as a power of two, since
+    # Python does not turn it into text.
+    with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~2\^11120 "
+                       rf"state-successor pairs > budget {1 << 7001}$") as exc:
+        solve(path_graph(3), 7000, state_budget=1 << 7001)
+    assert exc.value.count.bit_length() == 11121
+
+
+def test_every_count_of_stored_entries_over_the_budget_is_refused(monkeypatch):
+    # A solve stores a value per (cop tuple, robber) and a vertex per cop,
+    # about max(n, k) * C(n + k - 1, k) entries.  Whatever the refusal
+    # compares, no triple over the budget by that count may start a pass.
+    def no_pass(g, k):
+        raise AssertionError(f"pass started on {g.vertex_count} vertices, k={k}")
+
+    monkeypatch.setattr(solver, "_retrograde", no_pass)
+    graphs = [build_graph(1, []), path_graph(2), path_graph(3), star_graph(5), cycle_graph(5),
+              grid_graph(3, 3), random_tree(12, 5), path_graph(7000), grid_graph(100, 100)]
+    ks = [1, 2, 3, 5, 10, 20, 63, 64, 100, 700, 7000, 10**6, 10**9]
+    budgets = [1, 10, 1000, 10**4, 10**6, DEFAULT_STATE_BUDGET, 10**9, 2**64, 10**30]
+    refused = 0
+    for g in graphs:
+        n = g.vertex_count
+        for k in ks:
+            # Budgets only grow, so the first one the count passes ends the row.
+            reference = max(n, k) * math.comb(n + k - 1, k)
+            for budget in budgets:
+                if reference <= budget:
+                    break
+                with pytest.raises(ResourceBudgetError) as exc:
+                    solve(g, k, state_budget=budget)
+                assert exc.value.count > budget
+                refused += 1
+    assert refused > 500
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("order", list(MoveOrder), ids=lambda o: o.value)
+def test_one_vertex_is_answered_without_a_pass(monkeypatch, k, order):
+    def no_pass(g, k):
+        raise AssertionError("a one-vertex game needs no pass")
+
+    g = build_graph(1, [])
+    slow = naive_value_iteration(g, k, order)
+    monkeypatch.setattr(solver, "_retrograde", no_pass)
+    fast = solve(g, k, order)
+    assert fast.capture_time == slow.capture_time == 0
+    assert fast.central_tuples == slow.central_tuples == ((0,) * k,)
+    for half, want in ((fast.table.value, slow.table.value), (fast.table.other, slow.table.other)):
+        assert len(half) == 0 and list(half.items()) == [] and dict(want) == {}
+        assert half == want
+    trace = simulate(g, GameConfig(cop_count=k, move_order=order), OptimalCop(fast), OptimalRobber(fast))
+    assert str(trace.outcome) == "CAPTURED 0"
 
 
 def test_budget_error_names_the_huge_cop_count_bound():
-    # 20 * C(22, 20) = 4620 stored entries pass a budget of 10^4 (14 bits),
-    # and 20 cops with 2 or more moves each give at least 2^14 pairs.
+    # A budget of 10^4 has 14 bits, and 20 cops with 2 or more moves each
+    # give at least 2^14 pairs.
     with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: at least 16384 "
                        r"state-successor pairs \(20 cops, each with 2 or more moves\) "
                        r"> budget 10000$") as exc:
@@ -196,8 +246,8 @@ def test_budget_error_names_the_huge_cop_count_bound():
 
 
 def test_budget_error_names_the_state_successor_estimate():
-    # 405 stored entries pass a budget of 1000; 45 tuples x (24 + 9 + 9 * 25)
-    # state-successor pairs do not.
+    # 2 cops are fewer than the 10 bits of the budget, so the estimate is
+    # formed: 45 tuples x (24 + 9 + 9 * 25) state-successor pairs.
     with pytest.raises(ResourceBudgetError, match=r"^solve budget exceeded: ~11610 "
                        r"state-successor pairs > budget 1000$") as exc:
         solve(grid_graph(3, 3), 2, state_budget=1000)

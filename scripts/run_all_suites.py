@@ -2,6 +2,8 @@
 """Run every verification suite and print one summary line per suite.
 
 Exits nonzero if any claim fails or a suite has no passing claim.
+Each suite's wall time goes to stderr, so stdout is the same on every
+run.
 `--quick` shrinks corpus sizes for a fast smoke run; the defaults match
 the full verification configuration.
 
@@ -30,7 +32,8 @@ def main() -> int:
         result = run_suite(name, **options)
         elapsed = time.perf_counter() - started
         counts = result.counts()
-        print(f"{result.summary(counts)} time={elapsed:.1f}s")
+        print(result.summary(counts))
+        print(f"suite={name} time={elapsed:.1f}s", file=sys.stderr)
         if not counts.passed:
             failed = True
             if counts.npass == counts.nfail == 0:

@@ -1,7 +1,9 @@
 """Machine checks of the capture-time identities and inequalities.
 
 Every check compares capture times that its caller supplies and runs
-no solve.  Every claim is an exact integer comparison; reports carry
+no solve.  The graph facts a check reads besides them (qualifying
+4-cycle vertices, BFS distance rows) come from a GraphFacts its caller
+may supply and keep; this module keeps none.  Every claim is an exact integer comparison; reports carry
 PASS, FAIL, or VACUOUS per claim.  Vacuous means the hypothesis
 selected nothing to check (for example no qualifying 4-cycle vertices
 exist), which is reported distinctly so corpus bugs cannot hide behind
@@ -104,32 +106,53 @@ def qualifying_c4_vertices(g: Graph) -> list[int]:
     return sorted(out)
 
 
-def _distance_rows(g: Graph, central_tuples) -> dict[int, list[int]]:
-    """One BFS distance row per distinct vertex of the central tuples."""
-    rows: dict[int, list[int]] = {}
-    for pair in central_tuples:
-        for c in pair:
-            if c not in rows:
-                rows[c] = bfs_distances(g, c)
-    return rows
+class GraphFacts:
+    """The facts of one graph that the checks read besides its solve:
+    its qualifying 4-cycle vertices and the BFS distance row of each
+    vertex asked for, each computed on first use and then kept.
+
+    They depend on the graph alone, so a caller that checks one graph
+    several times may hand every check the same GraphFacts; a check
+    given none makes a fresh one.  Callers must not change what it
+    returns.
+    """
+
+    __slots__ = ("graph", "_qualifying", "_rows")
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self._qualifying: list[int] | None = None
+        self._rows: dict[int, list[int]] = {}
+
+    def qualifying(self) -> list[int]:
+        if self._qualifying is None:
+            self._qualifying = qualifying_c4_vertices(self.graph)
+        return self._qualifying
+
+    def row(self, v: int) -> list[int]:
+        row = self._rows.get(v)
+        if row is None:
+            row = self._rows[v] = bfs_distances(self.graph, v)
+        return row
 
 
 def check_lemma3(g: Graph, capture_time: CaptureValue,
-                 central_tuples: tuple[tuple[int, int], ...]) -> BoundReport:
+                 central_tuples: tuple[tuple[int, int], ...],
+                 facts: GraphFacts | None = None) -> BoundReport:
     """d(u,c1) + d(u,c2) <= 2*capt + 1 for every central pair and every
     qualifying 4-cycle vertex u; a u listed again (the list is sorted, so
     repeats are adjacent) appends the same claim object again."""
     report = BoundReport(instance=f"lemma3[n={g.vertex_count}]")
     if is_escape(capture_time):
         return _escaped(report, "capt2-finite")
-    qualifying = qualifying_c4_vertices(g)
+    facts = facts or GraphFacts(g)
+    qualifying = facts.qualifying()
     if not qualifying:
         report.claims.append(vacuous_claim("lemma3"))
         return report
-    dist = _distance_rows(g, central_tuples)
     bound, claims = 2 * capture_time + 1, report.claims
     for c1, c2 in central_tuples:
-        d1, d2 = dist[c1], dist[c2]
+        d1, d2 = facts.row(c1), facts.row(c2)
         last = None
         for u in qualifying:
             if u != last:
@@ -140,14 +163,18 @@ def check_lemma3(g: Graph, capture_time: CaptureValue,
 
 
 def check_theorem2(product: ProductGraph, capture_time: CaptureValue,
-                   central_tuples: tuple[tuple[int, int], ...]) -> BoundReport:
+                   central_tuples: tuple[tuple[int, int], ...],
+                   facts: GraphFacts | None = None) -> BoundReport:
     """capt2 of a two-tree product equals floor(diam/2), and the diameter
-    chain through the corner vertices of the product holds."""
+    chain through the corner vertices of the product holds.  The
+    diameter and the central vertices' rows come from one all-sources
+    sweep of the flat graph's rows."""
     g = product.flat
-    d = diameter(g)
     report = BoundReport(instance=f"theorem2[n={g.vertex_count}]")
     if is_escape(capture_time):
         return _escaped(report, "capt2-finite")
+    facts = facts or GraphFacts(g)
+    d = max(max(facts.row(s)) for s in range(g.vertex_count))
     t = capture_time
     report.claims.append(make_claim("theorem2-equality", t, "==", d // 2))
 
@@ -157,16 +184,15 @@ def check_theorem2(product: ProductGraph, capture_time: CaptureValue,
     p2 = diametral_path(product.factor2)
     u = product.flat_of(p1[0], p2[0])
     v = product.flat_of(p1[-1], p2[-1])
-    qualifying_vertices = set(qualifying_c4_vertices(g))
+    qualifying_vertices = set(facts.qualifying())
     report.claims.append(
         make_claim("lemma4-corner-u", int(u in qualifying_vertices), "==", 1)
     )
     report.claims.append(
         make_claim("lemma4-corner-v", int(v in qualifying_vertices), "==", 1)
     )
-    dist = _distance_rows(g, central_tuples)
     for c1, c2 in central_tuples:
-        d1, d2 = dist[c1], dist[c2]
+        d1, d2 = facts.row(c1), facts.row(c2)
         chain = d1[u] + d1[v] + d2[u] + d2[v]
         tag = f"[c=({c1},{c2})]"
         report.claims.append(make_claim(f"lemma4-chain-lower{tag}", 2 * d, "<=", chain))

@@ -113,7 +113,13 @@ def cmd_verify(args) -> int:
     for report in result.reports:
         if report.claims:  # one write per report, and no blank line
             tail = f"  # {report.instance}"
-            print("\n".join([line + tail for line in report.lines()]))
+            # A claim appended again (lemma3 repeats) reuses its formatted line.
+            lines, last = [], None
+            for claim in report.claims:
+                if claim is not last:
+                    last, text = claim, claim.line() + tail
+                lines.append(text)
+            print("\n".join(lines))
     counts = result.counts()
     print(result.summary(counts))
     if not counts.passed:

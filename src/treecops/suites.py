@@ -3,13 +3,18 @@
 Each suite returns a SuiteResult whose reports are deterministic for a
 fixed configuration, so identical runs emit byte-identical claim lines.
 
-theorem2, sandwich and lemma3 check the same seeded tree products.  They
-share one per-process memo of their two-cop solves, so suites run in one
-process (``scripts/run_all_suites.py``) solve each product once, in any
-order, with the same output.  Separate ``treecops verify`` processes do
-not share it: each one solves its corpus.  The bound checks run no
-solve: each suite solves what its checks compare, and the sandwich
-also solves each product's factors at one cop, outside the memo.
+theorem2, sandwich and lemma3 check the same seeded tree products.  Within
+one process they share three memos: the products of each corpus
+configuration, built once; each graph's two-cop solve (capture time and
+central tuples); and each graph's GraphFacts, the qualifying 4-cycle
+vertices and BFS rows that theorem2 and lemma3 read, each computed once.
+So suites run in one process (``scripts/run_all_suites.py``) build,
+solve and measure each product once, in any order, with the same output;
+``reset_memos`` empties all three, as a fresh process starts.  Separate
+``treecops verify`` processes share nothing: each one builds and solves
+its corpus.  The bound checks run no solve: each suite solves what its
+checks compare, and the sandwich also solves each product's factors at
+one cop, outside the memo; it reads no graph fact.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from typing import NamedTuple
 from .bounds import (
     BoundReport,
     FAIL,
+    GraphFacts,
     PASS,
     VACUOUS,
     check_corollaries,
@@ -123,9 +129,19 @@ def suite_thm1(max_size: int = 7, count: int = 50, seed: int = 42) -> SuiteResul
     return result
 
 
+# The products of each (seed, count, max_size) corpus, built once per
+# process; _pair_products hands each caller a fresh list of them.
+_PRODUCTS: dict[tuple[int, int, int], tuple[tuple[ProductGraph, str], ...]] = {}
+
+
 def _pair_products(seed: int, count: int, max_size: int) -> list[tuple[ProductGraph, str]]:
-    corpus = tree_pair_corpus(seed, count, 2, max_size)
-    return [(cartesian_product(t1, t2), desc) for t1, t2, desc in corpus]
+    key = (seed, count, max_size)
+    products = _PRODUCTS.get(key)
+    if products is None:
+        corpus = tree_pair_corpus(seed, count, 2, max_size)
+        products = _PRODUCTS[key] = tuple(
+            (cartesian_product(t1, t2), desc) for t1, t2, desc in corpus)
+    return list(products)
 
 
 _BOTH_ORDERS = (MoveOrder.ROBBER_FIRST, MoveOrder.COPS_FIRST)
@@ -143,13 +159,22 @@ def _record_solve(report: BoundReport, g: Graph, cops: int,
 # by the solver the call looked up as well as the graph, so a solver
 # bound over ``solve`` never reads what another one returned.
 _SOLVED: dict[tuple[object, Graph], tuple[CaptureValue, tuple[tuple[int, ...], ...]]] = {}
+# The GraphFacts of each graph _solve_each checks, keyed by the graph
+# alone: they hold no solver's output, only rows of the vertices asked for.
+_FACTS: dict[Graph, GraphFacts] = {}
+
+
+def reset_memos() -> None:
+    """Empty every per-process memo of this module, as a fresh process starts."""
+    for memo in (_PRODUCTS, _SOLVED, _FACTS):
+        memo.clear()
 
 
 def _solve_each(name: str, instances, check) -> SuiteResult:
     """Solve each (subject, desc) instance at two cops, check the subject
-    against the capture time and central tuples, and tag the report; a
-    product is solved flat, and a graph solved before in this process is
-    not solved again."""
+    against the capture time, central tuples and graph facts, and tag
+    the report; a product is solved flat, and a graph solved or measured
+    before in this process is not solved or measured again."""
     result = SuiteResult(name)
     for subject, desc in instances:
         g = subject.flat if isinstance(subject, ProductGraph) else subject
@@ -158,7 +183,10 @@ def _solve_each(name: str, instances, check) -> SuiteResult:
         if solved is None:
             full = solve(g, 2)
             solved = _SOLVED[key] = (full.capture_time, full.central_tuples)
-        report = check(subject, *solved)
+        facts = _FACTS.get(g)
+        if facts is None:
+            facts = _FACTS[g] = GraphFacts(g)
+        report = check(subject, *solved, facts)
         report.instance = f"{desc} {report.instance}"
         _record_solve(report, g, 2)
         result.reports.append(report)
@@ -190,7 +218,7 @@ def suite_corollary_grid(max_mn: int = 5) -> SuiteResult:
 def suite_sandwich(seed: int = 42, count: int = 50, max_size: int = 7) -> SuiteResult:
     """The one-cop sandwich around capt2 of random two-tree products."""
 
-    def check(product: ProductGraph, t: CaptureValue, _central) -> BoundReport:
+    def check(product: ProductGraph, t: CaptureValue, _central, _facts) -> BoundReport:
         return check_corollaries(product, t, solve(product.factor1, 1).capture_time,
                                  solve(product.factor2, 1).capture_time)
 

@@ -16,6 +16,7 @@ from treecops.bounds import (
     PASS,
     VACUOUS,
     Claim,
+    GraphFacts,
     check_corollaries,
     check_lemma3,
     check_multi_tree_bounds,
@@ -192,6 +193,29 @@ def test_theorem2_on_star_x_edge():
     assert diameter(prod.flat) == 3
     assert result.capture_time == 1
     assert check_theorem2(prod, *_slim(result)).passed
+
+
+def test_checks_sharing_graph_facts_match_fresh_ones_and_compute_each_once(monkeypatch):
+    # One GraphFacts handed to both checks gives the claims of fresh ones;
+    # theorem2's diameter sweep computes every row once, so lemma3 computes
+    # none, and the qualifying vertices are searched for once.
+    import treecops.bounds as bounds
+
+    prod = cartesian_product(path_graph(4), star_graph(4))
+    g = prod.flat
+    capt, central = _slim(solve(g, 2))
+    fresh = [check_theorem2(prod, capt, central).claims, check_lemma3(g, capt, central).claims]
+    real_c4, real_bfs = bounds.qualifying_c4_vertices, bounds.bfs_distances
+    c4, rows = [], []
+    monkeypatch.setattr(bounds, "qualifying_c4_vertices", lambda h: c4.append(h) or real_c4(h))
+    monkeypatch.setattr(bounds, "bfs_distances", lambda h, v: rows.append(v) or real_bfs(h, v))
+    facts = GraphFacts(g)
+    shared = [check_theorem2(prod, capt, central, facts).claims,
+              check_lemma3(g, capt, central, facts).claims]
+    assert shared == fresh
+    assert c4 == [g]
+    assert rows == list(range(g.vertex_count))
+    assert [facts.row(v) for v in rows] == [real_bfs(g, v) for v in rows]
 
 
 def _one_cop(product):

@@ -710,13 +710,13 @@ def test_verify_escape_after_an_honest_run_still_fails(capsys, tmp_path, monkeyp
     assert "CLAIM capt2-finite -1 >= 0 FAIL" in out
 
 
-def test_corpus_suites_print_the_same_in_any_order(capsys, tmp_path, monkeypatch):
-    # Each order starts from an empty memo, as a fresh process does.
+def test_corpus_suites_print_the_same_in_any_order(capsys, tmp_path):
+    # Each order starts from empty memos, as a fresh process does.
     import treecops.suites as suites
 
     outputs = []
     for order in (("theorem2", "sandwich", "lemma3"), ("lemma3", "sandwich", "theorem2")):
-        monkeypatch.setattr(suites, "_SOLVED", {})
+        suites.reset_memos()
         printed = {}
         for suite in order:
             rc, printed[suite], _ = run_cli(capsys, "verify", "--suite", suite,

@@ -121,33 +121,73 @@ def test_run_suite_passes_exactly_the_options_the_signature_names(monkeypatch, n
 
 
 def test_corpus_suites_solve_each_graph_once_per_process(monkeypatch):
-    # theorem2, sandwich and lemma3 share their two-cop solves: one call
-    # per distinct graph, whichever suite reaches it first.  The sandwich
-    # also solves each product's two factors at one cop, unshared.
+    # theorem2, sandwich and lemma3 share their corpus, their two-cop
+    # solves and the graph facts their checks read: one build of the
+    # corpus, one solve and one qualifying-vertex search per distinct
+    # graph and one BFS per (graph, vertex), whichever suite reaches it
+    # first.  The sandwich also solves each product's two factors at one
+    # cop, unshared, and reads no graph fact.
+    import treecops.bounds as bounds
     import treecops.suites as suites
     from treecops import cycle_graph, grid_graph
 
-    real = suites.solve
-    calls = []
+    real_solve, real_corpus = suites.solve, suites.tree_pair_corpus
+    real_c4, real_bfs = bounds.qualifying_c4_vertices, bounds.bfs_distances
+    calls, corpora, c4, rows = [], [], [], []
 
     def counting(g, k, *args, **kwargs):
         calls.append((g, k))
-        return real(g, k, *args, **kwargs)
+        return real_solve(g, k, *args, **kwargs)
+
+    def counting_corpus(*args):
+        corpora.append(args)
+        return real_corpus(*args)
+
+    def counting_c4(g):
+        c4.append(g)
+        return real_c4(g)
+
+    def counting_bfs(g, v):
+        rows.append((g, v))
+        return real_bfs(g, v)
 
     monkeypatch.setattr(suites, "solve", counting)
+    monkeypatch.setattr(suites, "tree_pair_corpus", counting_corpus)
+    monkeypatch.setattr(bounds, "qualifying_c4_vertices", counting_c4)
+    monkeypatch.setattr(bounds, "bfs_distances", counting_bfs)
+    suites.reset_memos()
+    assert run_suite("sandwich").passed
+    assert c4 == rows == []  # the sandwich alone computes no graph fact
+
+    suites.reset_memos()
+    del calls[:], corpora[:]
     for name in ("theorem2", "sandwich", "lemma3"):
         assert run_suite(name).passed
-    graphs = [product.flat for product, _ in suites._pair_products(42, 50, 7)]
+    assert corpora == [(42, 50, 2, 7)]  # the default corpus, built once
+    products = [product for product, _ in suites._pair_products(42, 50, 7)]
+    graphs = [product.flat for product in products]
     graphs += [grid_graph(m, n) for m, n in [(2, 2), (3, 3), (3, 4), (4, 5), (5, 5)]]
     graphs.append(cycle_graph(4))
+    assert (len(graphs), len(set(graphs))) == (56, 54)  # pair[33] is pair[16]; grid 2x2 is pair[26]
     two = [g for g, k in calls if k == 2]
     assert len(two) == len(set(two))  # no graph solved twice
     assert set(two) == set(graphs)
-    factors = [f for product, _ in suites._pair_products(42, 50, 7)
-               for f in (product.factor1, product.factor2)]
+    factors = [f for product in products for f in (product.factor1, product.factor2)]
     assert [(g, k) for g, k in calls if k != 2] == [(f, 1) for f in factors]
     # The memo keeps the two values the checks read, never the value table.
     kept = [solved for (solver, _), solved in suites._SOLVED.items() if solver is counting]
     assert len(kept) == len(two)
     for capture_time, central_tuples in kept:
         assert isinstance(capture_time, int) and isinstance(central_tuples, tuple)
+    # One qualifying-vertex search per distinct graph, one BFS per
+    # (graph, vertex); theorem2's diameter sweep covers every product vertex.
+    assert len(c4) == len(set(c4)) and set(c4) == set(graphs)
+    assert len(rows) == len(set(rows))
+    assert {(p.flat, v) for p in products for v in range(p.flat.vertex_count)} <= set(rows)
+    # Every kept fact equals a fresh computation.
+    assert set(suites._FACTS) == set(graphs)
+    computed = len(rows)
+    for g, facts in suites._FACTS.items():
+        assert facts.qualifying() == real_c4(g)
+        assert facts._rows and all(row == real_bfs(g, v) for v, row in facts._rows.items())
+    assert (len(c4), len(rows)) == (54, computed)  # the reads above computed nothing

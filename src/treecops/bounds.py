@@ -3,11 +3,11 @@
 Every check compares capture times that its caller supplies and runs
 no solve.  The graph facts a check reads besides them (qualifying
 4-cycle vertices, BFS distance rows) come from a GraphFacts its caller
-may supply and keep; this module keeps none.  Every claim is an exact integer comparison; reports carry
-PASS, FAIL, or VACUOUS per claim.  Vacuous means the hypothesis
-selected nothing to check (for example no qualifying 4-cycle vertices
-exist), which is reported distinctly so corpus bugs cannot hide behind
-empty checks.
+may supply and keep; this module keeps none.  Every claim is an exact
+integer comparison; reports carry PASS, FAIL, or VACUOUS per claim.
+Vacuous means the hypothesis selected nothing to check (for example no
+qualifying 4-cycle vertices exist), which is reported distinctly so
+corpus bugs cannot hide behind empty checks.
 """
 from __future__ import annotations
 

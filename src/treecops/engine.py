@@ -11,7 +11,10 @@ memory value the engine threads through `respond` calls (a strategy may
 keep counters and caches that never change its moves, and may reuse work
 across calls given the very same objects).  A strategy's `respond` must
 be a pure function of (state, memory) so that
-:func:`best_response_length` can memoize over it.
+:func:`best_response_length` can memoize over it: equal memory values
+are one state there, so `respond` must answer equal memories alike.  A
+strategy may return the same cop tuple and memory objects again; the
+search's memo keys then share them.
 """
 from __future__ import annotations
 
@@ -278,7 +281,10 @@ def best_response_length(
     A reachable cycle of uncaptured states means the robber escapes
     forever.  Requires the strategy's `respond` to be deterministic,
     independent of the round counter, and to keep its memory values
-    hashable and finitely many.
+    hashable and finitely many.  Equal memory values are one state, so
+    `respond` must answer equal memories alike.  A strategy may return
+    the same cop tuple and memory objects on many replies; the memo keys
+    then share them, and a memo hit compares them by identity first.
     """
     closed = [g.closed_neighborhood(v) for v in range(g.vertex_count)]
     cops0, memory0 = cop_strategy.place(g)

@@ -76,7 +76,11 @@ def center_start(t: Graph) -> int:
 
 
 class TreeChaseCop(CopStrategy):
-    """One cop: place centrally, then always step toward the robber."""
+    """One cop: place centrally, then always step toward the robber.
+
+    An instance keeps one (v,) per vertex and returns those, so equal
+    replies are one object; like its rows, the table is per instance.
+    """
 
     def __init__(self, tree: Graph):
         if not is_tree(tree):
@@ -87,15 +91,16 @@ class TreeChaseCop(CopStrategy):
         self._hop: list = [None] * tree.vertex_count
         for source, _, hop in tree_rows(tree):
             self._hop[source] = hop
+        self._single = tuple((v,) for v in range(tree.vertex_count))
 
     def place(self, g: Graph):
-        return (self.start,), None
+        return self._single[self.start], None
 
     def respond(self, g: Graph, state: GameState, memory):
         cop = state.cops[0]
         if cop == state.robber:
             return state.cops, memory
-        return (self._hop[state.robber][cop],), memory
+        return self._single[self._hop[state.robber][cop]], memory
 
 
 def _rows_by_source(t: Graph) -> tuple[list[list[int]], list[list[int]]]:
@@ -135,7 +140,10 @@ class ProductTwoCop(CopStrategy):
     memory; its record (and the outcome of its checks) is reused while a
     call passes the very same cops tuple and memory object as the last.
     Every per-reply check, the endgame-entry invariants included, runs on
-    every reply.
+    every reply.  The instance also keeps a table of the values it returns:
+    one cop tuple per ordered pair of flat vertices, and one memory per
+    value, found by robber in a row keyed by (phase, orientation, root), so
+    equal replies are one object and the search's memo keys share them.
     """
 
     def __init__(self, product: ProductGraph):
@@ -178,6 +186,12 @@ class ProductTwoCop(CopStrategy):
             self._flat_of[x][y] = f
         self._top2 = self._dist2[self.root2]
         self._start: tuple = (object(), object())  # holds no caller's cops or memory
+        # The values respond returns, one object per distinct value: cop
+        # tuples by first then second flat vertex, memories by (phase,
+        # orientation, root) then robber.
+        self._cop_pairs: list[dict[int, tuple[int, int]]] = [
+            {} for _ in range(product.flat.vertex_count)]
+        self._memories: dict[tuple, dict[int, TwoPhaseMemory]] = {}
         self.stats = {"endgame_entries": 0, "invariant_checks": 0, "responses": 0}
 
     # -- coordinate plumbing ------------------------------------------------
@@ -208,7 +222,8 @@ class ProductTwoCop(CopStrategy):
         start = self._start
         if start[0] is not state.cops or start[1] is not memory:
             start = self._round_start(state.cops, memory)
-        _, _, phase, entering, descend, c1_slot, c1_out, root1, u1, v1, u2, r_start = start
+        (_, _, phase, entering, descend, c1_slot, c1_out, memories, root1,
+         u1, v1, u2, r_start) = start
         if entering:
             stats["endgame_entries"] += 1
             self._assert_invariants(u1, v1, u2, r_start, root1, "endgame entry")
@@ -274,9 +289,18 @@ class ProductTwoCop(CopStrategy):
         if near is None or far is None:
             # A move onto the virtual leaf: _flat raises the error naming it.
             near, far = self._flat((n1, n2)), self._flat((f1, f2))
-        new_cops = (near, far) if c1_slot == 0 else (far, near)
-        # tuple.__new__ fills the named tuple in C, with no Python frame.
-        return new_cops, _new_tuple(TwoPhaseMemory, (phase, robber, c1_out, root1))
+        first, second = (near, far) if c1_slot == 0 else (far, near)
+        # Equal replies are one object: each value is built once, on first use.
+        pairs = self._cop_pairs[first]
+        new_cops = pairs.get(second)
+        if new_cops is None:
+            new_cops = pairs[second] = (first, second)
+        new_memory = memories.get(robber)
+        if new_memory is None:
+            # tuple.__new__ fills the named tuple in C, with no Python frame.
+            new_memory = memories[robber] = _new_tuple(
+                TwoPhaseMemory, (phase, robber, c1_out, root1))
+        return new_cops, new_memory
 
     def _round_start(self, cops, memory: TwoPhaseMemory) -> tuple:
         """The record of the part of a reply that reads only the cops and the
@@ -336,8 +360,13 @@ class ProductTwoCop(CopStrategy):
             )
         # While the pair has not moved in the odd tree the orientation
         # floats (c1_out is None): the robber can legitimately cross sides.
-        record = (cops, memory, phase, entering, descend, c1_slot,
-                  None if root1 is None else c1_slot, root1, u1, v1, u2, r_start)
+        c1_out = None if root1 is None else c1_slot
+        # The replies' memories, by robber; the other fields are this round's.
+        memories = self._memories.get((phase, c1_out, root1))
+        if memories is None:
+            memories = self._memories[phase, c1_out, root1] = {}
+        record = (cops, memory, phase, entering, descend, c1_slot, c1_out, memories, root1,
+                  u1, v1, u2, r_start)
         if type(cops) is tuple and type(memory) is TwoPhaseMemory:
             self._start = record
         return record

@@ -23,6 +23,7 @@ from treecops import (
     solve,
     star_graph,
     ProductTwoCop,
+    ResourceBudgetError,
     TwoPhaseMemory,
 )
 from treecops.engine import advance_round
@@ -426,6 +427,69 @@ def test_two_cop_rows_equal_bfs_rows_on_the_arranged_trees(t1, t2):
 def test_tree_chase_best_response_is_pinned():
     t = random_tree(200, 1000)
     assert best_response_length(t, GameConfig(cop_count=1), TreeChaseCop(t)) == 23
+
+
+def _two_cop_game():
+    prod = cartesian_product(random_tree(12, 5), random_tree(15, 9))
+    return prod.flat, 2, ProductTwoCop(prod)
+
+
+def _chase_game():
+    t = random_tree(200, 1000)
+    return t, 1, TreeChaseCop(t)
+
+
+# The strategies return one object per distinct cop tuple and memory, so
+# the search's memo keys share them instead of each holding its own copy.
+@pytest.mark.parametrize("order", list(MoveOrder))
+@pytest.mark.parametrize("make_game", [_two_cop_game, _chase_game], ids=["two-cop", "chase"])
+def test_equal_replies_of_the_search_are_one_object(make_game, order, monkeypatch):
+    g, k, strategy = make_game()
+    respond = strategy.respond
+    replies = []
+
+    def recorded(g, state, memory):
+        reply = respond(g, state, memory)
+        replies.append(reply)
+        return reply
+
+    monkeypatch.setattr(strategy, "respond", recorded)
+    best_response_length(g, GameConfig(cop_count=k, move_order=order), strategy)
+    first_cops, first_memory = {}, {}
+    for cops, memory in replies:
+        assert first_cops.setdefault(cops, cops) is cops
+        assert first_memory.setdefault(memory, memory) is memory
+    assert len(first_cops) < len(replies)
+    if k == 2:
+        assert len(first_memory) < len(replies)
+
+
+# A search that runs out of budget: the states counted and the strategy's
+# counters at that point.  Sharing replies must not change which states
+# the budget counts.
+_PINNED_BUDGET_ERRORS = [
+    (lambda: cartesian_product(random_tree(12, 5), random_tree(15, 9)), MoveOrder.ROBBER_FIRST,
+     100, 101, {"endgame_entries": 29, "invariant_checks": 202, "responses": 360}),
+    (lambda: cartesian_product(random_tree(12, 5), random_tree(15, 9)), MoveOrder.COPS_FIRST,
+     100, 101, {"endgame_entries": 11, "invariant_checks": 52, "responses": 101}),
+    (lambda: cartesian_product(random_tree(12, 5), random_tree(15, 9)), MoveOrder.COPS_FIRST,
+     1000, 1001, {"endgame_entries": 118, "invariant_checks": 684, "responses": 1001}),
+    (lambda: cartesian_product(path_graph(6), path_graph(7)), MoveOrder.ROBBER_FIRST,
+     100, 102, {"endgame_entries": 144, "invariant_checks": 325, "responses": 377}),
+    (lambda: cartesian_product(path_graph(6), path_graph(7)), MoveOrder.COPS_FIRST,
+     100, 101, {"endgame_entries": 22, "invariant_checks": 76, "responses": 101}),
+]
+
+
+@pytest.mark.parametrize("make_product, order, budget, count, stats", _PINNED_BUDGET_ERRORS)
+def test_a_search_over_budget_is_pinned(make_product, order, budget, count, stats):
+    prod = make_product()
+    strategy = ProductTwoCop(prod)
+    with pytest.raises(ResourceBudgetError) as exc:
+        best_response_length(prod.flat, GameConfig(cop_count=2, move_order=order), strategy,
+                             memo_budget=budget)
+    assert exc.value.count == count
+    assert strategy.stats == stats
 
 
 def _virtual_leaf(strategy, t1, t2, extended):

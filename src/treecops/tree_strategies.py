@@ -186,9 +186,8 @@ class ProductTwoCop(CopStrategy):
             self._flat_of[x][y] = f
         self._top2 = self._dist2[self.root2]
         self._start: tuple = (object(), object())  # holds no caller's cops or memory
-        # The values respond returns, one object per distinct value: cop
-        # tuples by first then second flat vertex, memories by (phase,
-        # orientation, root) then robber.
+        # Returned values: cop tuples by [first][second] flat vertex,
+        # memories by (phase, c1_out, root1) and then by robber.
         self._cop_pairs: list[dict[int, tuple[int, int]]] = [
             {} for _ in range(product.flat.vertex_count)]
         self._memories: dict[tuple, dict[int, TwoPhaseMemory]] = {}

@@ -44,7 +44,6 @@ from .engine import (
     best_response_length,
     format_trace,
     is_escape,
-    legal_cop_moves,
     simulate,
 )
 from .solver import (

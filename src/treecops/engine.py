@@ -19,7 +19,6 @@ search's memo keys then share them.
 from __future__ import annotations
 
 import enum
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple
@@ -166,12 +165,6 @@ class RobberStrategy(ABC):
     def respond(self, g: Graph, state: GameState, memory: Hashable) -> tuple[int, Hashable]: ...
 
 
-def legal_cop_moves(g: Graph, cops: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All ordered cop move tuples: the product of N[c_i] over the cops."""
-    options = [g.closed_neighborhood(c) for c in cops]
-    return list(itertools.product(*options))
-
-
 def _check_vertex(g: Graph, v: int, who: str) -> None:
     # bool is a subclass of int, but True is not vertex 1.
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.vertex_count:
@@ -285,12 +278,19 @@ def best_response_length(
     `respond` must answer equal memories alike.  A strategy may return
     the same cop tuple and memory objects on many replies; the memo keys
     then share them, and a memo hit compares them by identity first.
+
+    Each reply is checked inline, entry i against cops[i] and
+    adjacency[cops[i]]; one that fails goes to `_check_cop_moves`, which
+    names the fault, and a tuple reply is kept as it is.  A DFS frame walks
+    an iterator over its successors and hands its value to the frame below;
+    an ESCAPE clears the stack, whose states all keep their ESCAPE marks.
     """
     closed = [g.closed_neighborhood(v) for v in range(g.vertex_count)]
     cops0, memory0 = cop_strategy.place(g)
     _check_cop_placement(g, config, cops0)
     cops0 = tuple(cops0)
     robber_first = config.move_order is MoveOrder.ROBBER_FIRST
+    asks = closed if robber_first else [(v,) for v in range(g.vertex_count)]
 
     # One table: a state is marked ESCAPE when pushed and gets its value
     # when popped, so a state still on the stack reads as ESCAPE.  Reaching
@@ -300,7 +300,7 @@ def best_response_length(
     respond = cop_strategy.respond
     cops_to_move = Side.COPS
     new_tuple = tuple.__new__
-    adjacency, k = g.adjacency, config.cop_count
+    adjacency, k, slots = g.adjacency, config.cop_count, range(config.cop_count)
 
     def successors(key: tuple) -> list[tuple | None]:
         """None entries are capture-this-round branches, read as a child
@@ -312,24 +312,24 @@ def best_response_length(
 
         Robber first, the cops reply to each of her moves; cops first,
         once, to her position.  A reply is `respond` on a state built with
-        tuple.__new__ (fields filled in C, no Python frame); one that is
-        not k plain ints each staying or stepping along an edge goes to
-        `_check_cop_moves`, which names the fault.
+        tuple.__new__ (fields filled in C, no Python frame).
         """
         cops, robber, memory = key
         out: list[tuple | None] = []
-        for r_ask in closed[robber] if robber_first else (robber,):
+        for r_ask in asks[robber]:
             if r_ask in cops:
                 continue
             new_cops, new_memory = respond(
                 g, new_tuple(GameState, (cops, r_ask, 1, cops_to_move)), memory)
             if len(new_cops) != k:
                 _check_cop_moves(g, cops, new_cops)
-            for a, b in zip(cops, new_cops):
-                if type(b) is not int or b != a and b not in adjacency[a]:
+            for i in slots:
+                b = new_cops[i]
+                if type(b) is not int or b != cops[i] and b not in adjacency[cops[i]]:
                     _check_cop_moves(g, cops, new_cops)
                     break
-            new_cops = tuple(new_cops)
+            if type(new_cops) is not tuple:
+                new_cops = tuple(new_cops)
             if r_ask in new_cops:
                 out.append(None)
             elif robber_first:
@@ -343,34 +343,36 @@ def best_response_length(
     def evaluate(root: tuple) -> CaptureValue:
         if root in memo:
             return memo[root]
-        # Iterative DFS; frames are [key, successor list, index, best].
-        # Values are ints or ESCAPE, so memo.get() returning None is a miss.
+        # Iterative DFS: the top frame is (key, children, best) in locals,
+        # the frames below it wait on the stack.  Values are ints or
+        # ESCAPE, so memo.get() returning None is a miss.
         memo[root] = ESCAPE
-        stack = [[root, successors(root), 0, 0]]
-        while stack:
-            frame = stack[-1]
-            key, succ, idx, best = frame
-            while idx < len(succ):
-                child = succ[idx]
+        key, children, best = root, iter(successors(root)), 0
+        stack: list[tuple] = []
+        while True:
+            for child in children:
                 value = 0 if child is None else memo.get(child)
                 if value is None:
                     if len(memo) > memo_budget:
                         raise ResourceBudgetError(
                             f"best-response search exceeded {memo_budget} states", len(memo))
-                    frame[2], frame[3] = idx, best
                     memo[child] = ESCAPE
-                    stack.append([child, successors(child), 0, 0])
+                    stack.append((key, children, best))
+                    key, children, best = child, iter(successors(child)), 0
                     break
                 if value is ESCAPE:
-                    stack.pop()  # the key keeps its ESCAPE mark
-                    break
+                    stack.clear()
+                    return ESCAPE
                 if value >= best:
                     best = value + 1
-                idx += 1
             else:
                 memo[key] = best
-                stack.pop()
-        return memo[root]
+                if not stack:
+                    return best
+                value = best
+                key, children, best = stack.pop()
+                if value >= best:
+                    best = value + 1
 
     best: CaptureValue = 0
     for r0 in range(g.vertex_count):

@@ -617,11 +617,11 @@ class OptimalCop(CopStrategy):
     The best reply's value t is one lookup in the cops-to-move half,
     which the pass fills with 1 + the min over all replies of the
     robber-to-move value, or 1 when a reply lands on the robber.  The
-    reply is the first ordered cop tuple, in :func:`legal_cop_moves`
-    order, that attains t: one that lands on the robber when t = 1,
-    otherwise one whose robber-to-move value is t - 1.  Ties among
-    equal-value replies therefore go to the lexicographically smallest
-    ordered cop tuple.
+    reply is the first ordered cop tuple, in ``itertools.product`` order
+    over the closed lists, that attains t: one that lands on the robber
+    when t = 1, otherwise one whose robber-to-move value is t - 1.  Ties
+    among equal-value replies therefore go to the lexicographically
+    smallest ordered cop tuple.
     """
 
     def __init__(self, result: SolveResult):
@@ -630,7 +630,8 @@ class OptimalCop(CopStrategy):
         self.result = result
         self.table = table = result.table
         self._cops_to_move, self._robber_to_move = _both_halves(result)
-        # Same lists, so the same move order, as legal_cop_moves.
+        # Replies are tried in itertools.product order over these closed
+        # lists, which sets the tie rule.
         self._closed = _closed_lists(table.graph)
 
     def place(self, g: Graph):

@@ -137,13 +137,16 @@ class ProductTwoCop(CopStrategy):
     from them too.  `stats` counts responses, endgame entries and
     invariant checks, so an instance is per-thread state, not a shareable
     template.  The round-start part of a reply reads only the cops and the
-    memory; its record (and the outcome of its checks) is reused while a
-    call passes the very same cops tuple and memory object as the last.
-    Every per-reply check, the endgame-entry invariants included, runs on
-    every reply.  The instance also keeps a table of the values it returns:
-    one cop tuple per ordered pair of flat vertices, and one memory per
-    value, found by robber in a row keyed by (phase, orientation, root), so
-    equal replies are one object and the search's memo keys share them.
+    memory; its record (the outcome of its checks, and the distance rows of
+    the round's cops and odd-tree root) is reused while a call passes the
+    very same cops tuple and memory object as the last.  Every per-reply
+    check runs on every reply: the endgame-entry invariants are tested by
+    the same inline expression as those after an endgame move, and
+    `_assert_invariants` runs only to name a failure.  The instance also
+    keeps a table of the values it returns: one cop tuple per ordered pair
+    of flat vertices, and one memory per value, found by robber in a row
+    keyed by (phase, orientation, root), so equal replies are one object
+    and the search's memo keys share them.
     """
 
     def __init__(self, product: ProductGraph):
@@ -222,24 +225,28 @@ class ProductTwoCop(CopStrategy):
         if start[0] is not state.cops or start[1] is not memory:
             start = self._round_start(state.cops, memory)
         (_, _, phase, entering, descend, c1_slot, c1_out, memories, root1,
-         u1, v1, u2, r_start) = start
+         u1, v1, u2, s1, s2, row_u1, row_v1, row_u2, top1) = start
+        top2 = self._top2
         if entering:
             stats["endgame_entries"] += 1
-            self._assert_invariants(u1, v1, u2, r_start, root1, "endgame entry")
+            dU, dV, d2 = row_u1[s1], row_v1[s1], row_u2[s2]
+            if not (top1[u1] + dU == top1[s1] == top1[v1] + dV and top2[u2] + d2 == top2[s2]
+                    and dV == dU + 1 and (d2 == dU or d2 == dV)):
+                self._assert_invariants(u1, v1, u2, (s1, s2), root1, "endgame entry")
+            stats["invariant_checks"] += 1
 
         # Both phases pick the tree in which both cops step toward the robber;
         # only the endgame may capture instead.  Near cop to (n1, n2), far to (f1, f2).
         robber = state.robber
         r1, r2 = self._internal_of[robber]
-        dist1 = self._dist1
         if phase == PHASE_ENDGAME:
             # The round start committed to no tree: her move decides it.
-            if r1 != r_start[0] and r2 != r_start[1]:
+            if r1 != s1 and r2 != s2:
                 raise StrategyInvariantError(
-                    f"robber changed both coordinates: {r_start} -> {(r1, r2)}"
+                    f"robber changed both coordinates: {(s1, s2)} -> {(r1, r2)}"
                 )
-            eU, e2 = dist1[u1][r1], self._dist2[u2][r2]
-            if dist1[v1][r1] == 0:
+            eU, e2 = row_u1[r1], row_u2[r2]
+            if row_v1[r1] == 0:
                 # She climbed onto the far cop's column: it steps onto her.
                 if e2 != 1:
                     raise StrategyInvariantError(
@@ -276,8 +283,7 @@ class ProductTwoCop(CopStrategy):
             n2 = f2 = self._hop2[r2][u2]
         if phase == PHASE_ENDGAME and (r1 != n1 or r2 != n2) and (r1 != f1 or r2 != f2):
             # The five invariants; _assert_invariants runs only to name a failure.
-            top1, top2 = dist1[root1], self._top2
-            dU, dV, d2 = dist1[n1][r1], dist1[f1][r1], self._dist2[n2][r2]
+            dU, dV, d2 = self._dist1[n1][r1], self._dist1[f1][r1], self._dist2[n2][r2]
             if not (top1[n1] + dU == top1[r1] == top1[f1] + dV and top2[n2] + d2 == top2[r2]
                     and dV == dU + 1 and (d2 == dU or d2 == dV)):
                 self._assert_invariants(n1, f1, n2, (r1, r2), root1, "after endgame move")
@@ -309,9 +315,8 @@ class ProductTwoCop(CopStrategy):
             raise StrategyInvariantError(
                 "two-cop strategy was not shown the robber placement"
             )
-        internal = self._internal_of
-        dist1 = self._dist1
-        r_start = internal[prev_robber]
+        internal, dist1 = self._internal_of, self._dist1
+        r1_start, r2_start = internal[prev_robber]
         cop_a, cop_b = cops
         (x1, w1), (y1, w2) = internal[cop_a], internal[cop_b]
         if w1 != w2 or dist1[x1][y1] != 1:
@@ -319,7 +324,6 @@ class ProductTwoCop(CopStrategy):
                 f"cop pair structure broken: T1 coords {x1},{y1}, T2 coords {w1},{w2}"
             )
         u2 = w1
-        r1_start, r2_start = r_start
 
         # Orientation at the start of the round.
         if c1_slot is None:
@@ -330,7 +334,8 @@ class ProductTwoCop(CopStrategy):
                 )
             c1_slot = 0 if dx < dy else 1
         u1, v1 = (x1, y1) if c1_slot == 0 else (y1, x1)
-        dU, dV, d2 = dist1[u1][r1_start], dist1[v1][r1_start], self._dist2[u2][r2_start]
+        row_u1, row_v1, row_u2 = dist1[u1], dist1[v1], self._dist2[u2]
+        dU, dV, d2 = row_u1[r1_start], row_v1[r1_start], row_u2[r2_start]
         if dV != dU + 1:
             raise StrategyInvariantError(
                 f"pair spacing broken at round start: d(u1,r1)={dU}, d(v1,r1)={dV}"
@@ -365,7 +370,8 @@ class ProductTwoCop(CopStrategy):
         if memories is None:
             memories = self._memories[phase, c1_out, root1] = {}
         record = (cops, memory, phase, entering, descend, c1_slot, c1_out, memories, root1,
-                  u1, v1, u2, r_start)
+                  u1, v1, u2, r1_start, r2_start, row_u1, row_v1, row_u2,
+                  None if root1 is None else dist1[root1])
         if type(cops) is tuple and type(memory) is TwoPhaseMemory:
             self._start = record
         return record
@@ -376,24 +382,16 @@ class ProductTwoCop(CopStrategy):
         self.stats["invariant_checks"] += 1
         r1, r2 = r
         dist1 = self._dist1
-        dU = dist1[u1][r1]
-        dV = dist1[v1][r1]
-        d2 = self._dist2[u2][r2]
+        dU, dV, d2 = dist1[u1][r1], dist1[v1][r1], self._dist2[u2][r2]
         # In a tree, a lies on the path from the root to v (v is a
         # descendant of a) exactly when d(root, a) + d(a, v) = d(root, v).
-        top1 = dist1[root1]
-        top2 = self._dist2[self.root2]
-        problems = []
-        if top1[u1] + dU != top1[r1]:
-            problems.append(f"r1={r1} not a descendant of u1={u1}")
-        if top1[v1] + dV != top1[r1]:
-            problems.append(f"r1={r1} not a descendant of v1={v1}")
-        if top2[u2] + d2 != top2[r2]:
-            problems.append(f"r2={r2} not a descendant of u2={u2}")
-        if dV != dU + 1:
-            problems.append(f"d(v1,r1)={dV} != 1 + d(u1,r1)={dU}")
-        if d2 not in (dU, dV):
-            problems.append(f"d(u2,r2)={d2} not in {{{dU}, {dV}}}")
+        top1, top2 = dist1[root1], self._top2
+        problems = [text for holds, text in [
+            (top1[u1] + dU == top1[r1], f"r1={r1} not a descendant of u1={u1}"),
+            (top1[v1] + dV == top1[r1], f"r1={r1} not a descendant of v1={v1}"),
+            (top2[u2] + d2 == top2[r2], f"r2={r2} not a descendant of u2={u2}"),
+            (dV == dU + 1, f"d(v1,r1)={dV} != 1 + d(u1,r1)={dU}"),
+            (d2 in (dU, dV), f"d(u2,r2)={d2} not in {{{dU}, {dV}}}")] if not holds]
         if problems:
             raise StrategyInvariantError(
                 f"invariants failed {where}: "

@@ -1,4 +1,7 @@
+import enum
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecops import (
     ESCAPE,
@@ -13,18 +16,16 @@ from treecops import (
     cycle_graph,
     format_trace,
     grid_graph,
-    legal_cop_moves,
     TreeChaseCop,
     OptimalRobber,
     path_graph,
     simulate,
     solve,
-    star_graph,
     ProductTwoCop,
     cartesian_product,
 )
 import treecops.strategies as strategies
-from treecops.engine import CopStrategy, RobberStrategy
+from treecops.engine import CopStrategy, RobberStrategy, _check_cop_moves
 from treecops.strategies import RandomCop, RandomRobber, StationaryCop, StationaryRobber
 
 
@@ -90,18 +91,6 @@ class CountingCop(CopStrategy):
 
     def respond(self, g, state, memory):
         return state.cops, memory + 1
-
-
-def test_legal_cop_moves_counts():
-    p4 = path_graph(4)
-    assert len(legal_cop_moves(p4, (1,))) == 3  # degree-2 vertex
-    assert len(legal_cop_moves(p4, (0,))) == 2  # path end: stay or step
-    star = star_graph(4)
-    assert len(legal_cop_moves(star, (1, 0))) == 2 * 4  # degrees 1 and 3
-    from treecops import grid_graph
-
-    grid = grid_graph(2, 3)
-    assert len(legal_cop_moves(grid, (0, 1))) == 3 * 4  # degrees 2 and 3
 
 
 def test_advance_round_robber_walks_into_cop():
@@ -327,6 +316,64 @@ def test_a_legal_two_cop_reply_given_as_a_list_is_accepted(order):
     as_tuple = best_response_length(path_graph(6), config,
                                     ScriptedCop((0, 1), lambda cops: tuple(step(cops))))
     assert as_list == as_tuple == 4
+
+
+_Vertex = enum.IntEnum("_Vertex", [(f"V{v}", v) for v in range(7)])
+# One entry of a cop reply, from the cop's old position a on P7.
+_REPLY_ENTRIES = {
+    "stay": lambda a: a,
+    "left": lambda a: a - 1,  # -1 for the cop at vertex 0
+    "right": lambda a: a + 1,
+    "non-edge": lambda a: a + 2,
+    "negative": lambda a: -1,
+    "past-the-end": lambda a: 7,
+    "true": lambda a: True,
+    "false": lambda a: False,
+    "float-stay": lambda a: float(a),
+    "float-step": lambda a: a + 1.0,
+    "enum-stay": lambda a: _Vertex(a),
+    "enum-step": lambda a: _Vertex(a + 1),
+}
+
+
+def _verdict(run):
+    """None if `run` passes every move check, else the message it raised."""
+    try:
+        run()
+    except IllegalMoveError as exc:
+        return str(exc)
+    return None
+
+
+# The cops stand at 2, 4 and 0 on P7 (the first k of them) and the robber
+# at 6; every cop reply is the same value, so after the first it is a stay.
+# A third of the replies are k entries that mostly stay or step, a third
+# k entries of any kind, and a third 0 to 4 entries of any kind, so some
+# are a cop too short or too long.
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("order", list(MoveOrder))
+@given(data=st.data(), as_list=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_the_searchs_move_test_accepts_what_check_cop_moves_accepts(k, order, data, as_list):
+    g, start = path_graph(7), (2, 4, 0)[:k]
+    steps = st.sampled_from(["stay", "left", "right", "enum-stay", "enum-step"])
+    entries = st.sampled_from(sorted(_REPLY_ENTRIES))
+    names = data.draw(st.one_of(st.lists(steps, min_size=k, max_size=k),
+                                st.lists(entries, min_size=k, max_size=k),
+                                st.lists(entries, max_size=4)))
+    reply = [_REPLY_ENTRIES[name](start[i] if i < k else 0) for i, name in enumerate(names)]
+    reply = reply if as_list else tuple(reply)
+    config = GameConfig(cop_count=k, move_order=order, max_rounds=3)
+    want = _verdict(lambda: _check_cop_moves(g, start, reply))
+    assert _verdict(lambda: best_response_length(
+        g, config, ScriptedCop(start, lambda cops: reply))) == want
+    assert _verdict(lambda: simulate(
+        g, config, ScriptedCop(start, lambda cops: reply), ScriptedRobber(6))) == want
+    if want is None:
+        # An accepted reply is searched as the tuple of its plain ints.
+        plain = tuple(int(v) for v in reply)
+        assert best_response_length(g, config, ScriptedCop(start, lambda cops: reply)) == \
+            best_response_length(g, config, ScriptedCop(start, lambda cops: plain))
 
 
 def test_check_cop_moves_rejects_a_bool_for_vertex_one():

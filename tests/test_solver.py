@@ -19,7 +19,6 @@ from treecops import (
     grid_graph,
     InputError,
     is_escape,
-    legal_cop_moves,
     naive_value_iteration,
     OptimalCop,
     OptimalRobber,
@@ -453,7 +452,8 @@ def test_halves_satisfy_the_one_step_identities(g, k):
     robber_to_move = solve(g, k, MoveOrder.ROBBER_FIRST).table
     closed = [g.closed_neighborhood(v) for v in range(g.vertex_count)]
     for cops, r in robber_to_move.value:
-        replies = [robber_to_move.value_of(mv, r) for mv in legal_cop_moves(g, cops)]
+        moves = itertools.product(*(closed[c] for c in cops))
+        replies = [robber_to_move.value_of(mv, r) for mv in moves]
         finite = [v for v in replies if not is_escape(v)]
         if any(r in closed[c] for c in cops):
             want = 1

@@ -587,6 +587,64 @@ def test_endgame_rejects_a_robber_outside_the_cops_even_subtree():
         _forged_endgame((0, 3), (0, 3), cops=((2, 1), (3, 1)), root1=3)()
 
 
+# Mutants of a legal round on P4 x P5: the cops at (a2, b3) and (a3, b3),
+# the robber from (a1, b1), where the distances 1, 2 and 2 match, and the
+# odd tree hung from a1, so the robber is below neither cop.  In equalize
+# the reply enters the endgame and its entry check fails; in the endgame
+# the check after the cops' even-tree descent fails.  Each names the
+# failure and the full state, and counts the failing check once.
+_BROKEN_ROOT = [
+    ("equalize", (0, 0), "invariants failed endgame entry: r1=3 not a descendant of u1=2; "
+     "r1=3 not a descendant of v1=1 [u1=2 v1=1 u2=2 r=(3, 4) root1=3 root2=2]",
+     {"endgame_entries": 1, "invariant_checks": 1, "responses": 1}),
+    ("equalize", (1, 0), "invariants failed endgame entry: r1=3 not a descendant of u1=2; "
+     "r1=3 not a descendant of v1=1 [u1=2 v1=1 u2=2 r=(3, 4) root1=3 root2=2]",
+     {"endgame_entries": 1, "invariant_checks": 1, "responses": 1}),
+    ("endgame", (0, 0), "invariants failed after endgame move: r1=3 not a descendant of u1=2; "
+     "r1=3 not a descendant of v1=1 [u1=2 v1=1 u2=3 r=(3, 4) root1=3 root2=2]",
+     {"endgame_entries": 0, "invariant_checks": 1, "responses": 1}),
+    ("endgame", (1, 0), "invariants failed after endgame move: "
+     "r1=2 not a descendant of v1=1 [u1=2 v1=1 u2=3 r=(2, 4) root1=3 root2=2]",
+     {"endgame_entries": 0, "invariant_checks": 1, "responses": 1}),
+]
+
+
+@pytest.mark.parametrize("phase, robber_now, message, stats", _BROKEN_ROOT,
+                         ids=["entry-stays", "entry-climbs", "move-stays", "move-climbs"])
+def test_a_root_that_breaks_descendant_containment_fails_the_invariants(
+        phase, robber_now, message, stats):
+    strategy = ProductTwoCop(cartesian_product(path_graph(4), path_graph(5)))
+    a, b = strategy.path1, strategy.path2
+    flat = [strategy._flat((a[i], b[j])) for i, j in ((0, 0), robber_now, (1, 2), (2, 2))]
+    memory = TwoPhaseMemory(phase, flat[0], 0, a[0])
+    state = GameState(tuple(flat[2:]), flat[1], 1, Side.COPS)
+    with pytest.raises(StrategyInvariantError) as caught:
+        strategy.respond(strategy.product.flat, state, memory)
+    assert str(caught.value) == message
+    assert strategy.stats == stats
+
+
+class _RootedAtAnEnd(ProductTwoCop):
+    """A mutant that hangs the odd tree from an end of its diametral path
+    from the placement on, instead of freezing a root at the first descent."""
+
+    def observe_placement(self, g, state, memory):
+        return memory._replace(prev_robber=state.robber, root1=self.path1[0])
+
+
+def test_a_search_stops_at_the_first_failed_entry_check():
+    # Cops first on P4 x P5, the search passes 22 invariant checks and 12
+    # endgame entries before the 13th entry check fails.
+    prod = cartesian_product(path_graph(4), path_graph(5))
+    strategy = _RootedAtAnEnd(prod)
+    config = GameConfig(cop_count=2, move_order=MoveOrder.COPS_FIRST)
+    with pytest.raises(StrategyInvariantError) as caught:
+        best_response_length(prod.flat, config, strategy)
+    assert str(caught.value) == ("invariants failed endgame entry: r1=2 not a descendant of "
+                                 "v1=1 [u1=2 v1=1 u2=1 r=(2, 0) root1=3 root2=2]")
+    assert strategy.stats == {"endgame_entries": 13, "invariant_checks": 23, "responses": 33}
+
+
 def test_two_phase_memory_compares_by_fields():
     a = TwoPhaseMemory("endgame", 7, 1, 3)
     b = TwoPhaseMemory("endgame", 7, 1, 3)

@@ -106,8 +106,6 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform labeled tree on n vertices, deterministic for a fixed seed."""
     if n < 2:
         raise GraphError(f"random_tree needs n >= 2, got {n}")
-    if n == 2:
-        return build_graph(2, [(0, 1)])
     rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     return build_graph(n, prufer_decode(seq, n))
@@ -117,8 +115,5 @@ def all_labeled_trees(n: int) -> Iterator[Graph]:
     """Every labeled tree on n vertices, one per Pruefer sequence."""
     if n < 2:
         raise GraphError(f"all_labeled_trees needs n >= 2, got {n}")
-    if n == 2:
-        yield build_graph(2, [(0, 1)])
-        return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield build_graph(n, prufer_decode(seq, n))

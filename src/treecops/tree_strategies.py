@@ -48,7 +48,7 @@ from typing import NamedTuple
 from .engine import CopStrategy, GameState, Graph
 from .graphs import InputError
 from .products import ProductGraph
-from .trees import add_leaf, diametral_path, is_tree, tree_rows
+from .trees import add_leaf, diametral_path, dist_rows, hop_rows, is_tree
 
 PHASE_EQUALIZE = "equalize"
 PHASE_ENDGAME = "endgame"
@@ -61,18 +61,13 @@ class StrategyInvariantError(RuntimeError):
     """A two-phase strategy invariant failed; carries the full state."""
 
 
-def _ceil_half(d: int) -> int:
-    return (d + 1) // 2
-
-
 def center_start(t: Graph) -> int:
     """Vertex at 1-based index 1 + ceil(d/2) on a diametral path.
 
     Its eccentricity is at most ceil(diam/2).
     """
     path = diametral_path(t)
-    d = len(path) - 1
-    return path[_ceil_half(d)]
+    return path[len(path) // 2]
 
 
 class TreeChaseCop(CopStrategy):
@@ -87,10 +82,8 @@ class TreeChaseCop(CopStrategy):
             raise InputError("TreeChaseCop plays on a tree")
         self.tree = tree
         self.start = center_start(tree)
-        # Only the hop rows are kept; tree_rows drops the distance rows.
-        self._hop: list = [None] * tree.vertex_count
-        for source, _, hop in tree_rows(tree):
-            self._hop[source] = hop
+        # Stepping toward the robber reads only hop rows: no distance rows.
+        self._hop = hop_rows(tree)
         self._single = tuple((v,) for v in range(tree.vertex_count))
 
     def place(self, g: Graph):
@@ -101,15 +94,6 @@ class TreeChaseCop(CopStrategy):
         if cop == state.robber:
             return state.cops, memory
         return self._single[self._hop[state.robber][cop]], memory
-
-
-def _rows_by_source(t: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    """All distance rows and all hop rows of a tree, indexed by source."""
-    dist: list = [None] * t.vertex_count
-    hop: list = [None] * t.vertex_count
-    for source, dist_row, hop_row in tree_rows(t):
-        dist[source], hop[source] = dist_row, hop_row
-    return dist, hop
 
 
 class TwoPhaseMemory(NamedTuple):
@@ -129,8 +113,9 @@ class ProductTwoCop(CopStrategy):
     """Two-phase two-cop strategy on the product of two trees.
 
     Construction arranges the factors (see the module docstring) and
-    precomputes everything a response looks up: distances and next hops
-    in both arranged trees, the flat-to-internal coordinate table (factor
+    precomputes everything a response looks up: the next-hop rows of both
+    arranged trees (`trees.hop_rows`) and the distance rows read from them
+    (`trees.dist_rows`), the flat-to-internal coordinate table (factor
     swap applied) and its inverse, indexed [x][y], which holds None for
     pairs on the virtual leaf.  The distance tables are the only view of
     the trees: the invariant checks read which vertices lie below a root
@@ -175,8 +160,8 @@ class ProductTwoCop(CopStrategy):
         self.tree1, self.tree2, self.path1, self.path2 = tree1, tree2, path1, path2
         self.m, self.n = (len(path1) - 2) // 2, (len(path2) - 1) // 2
         self.root2 = path2[self.n]  # b_{n+1}, fixed for the game
-        self._dist1, self._hop1 = _rows_by_source(self.tree1)
-        self._dist2, self._hop2 = _rows_by_source(self.tree2)
+        self._hop1, self._hop2 = hop_rows(tree1), hop_rows(tree2)
+        self._dist1, self._dist2 = dist_rows(tree1, self._hop1), dist_rows(tree2, self._hop2)
         pairs = [product.pair_of(f) for f in range(product.flat.vertex_count)]
         if swapped:
             pairs = [(x2, x1) for x1, x2 in pairs]

@@ -1,8 +1,6 @@
-"""Tree navigation: diametral paths, re-rooted distance and next-hop rows
-for every source, and leaf extension."""
+"""Tree navigation: diametral paths, next-hop rows for every source by
+re-rooting, distance rows read from them, and leaf extension."""
 from __future__ import annotations
-
-from typing import Iterator
 
 from .graphs import Graph, GraphError, bfs_distances, bfs_parents, is_tree
 
@@ -29,67 +27,45 @@ def diametral_path(t: Graph) -> list[int]:
     return path
 
 
-def tree_rows(t: Graph) -> Iterator[tuple[int, list[int], list[int]]]:
-    """(source, dist, hop) for every source s of a tree, in depth-first order.
+def hop_rows(t: Graph) -> list[list[int]]:
+    """hop[s] for every source s of a tree: hop[s][frm] is the first step
+    from frm toward s (hop[s][s] = s), frm's parent when the tree hangs
+    from s.
 
-    dist[v] is the distance from s to v.  hop[frm] is the first step from
-    frm toward s (hop[s] = s): frm's parent when the tree hangs from s.
-
-    Re-rooting: one BFS from vertex 0 gives the first rows.  Every other
-    source s is reached from its parent p in the tree hung from 0, across
-    the edge p-s.  Its distance row is p's plus one, minus two on s's
-    subtree, whose vertices come one step closer while the rest move one
-    step away.  Its hop row is p's with two entries changed: hop[p] = s
-    and hop[s] = s.
-
-    Order and held rows: the sources come in preorder from vertex 0, each
-    vertex's children by ascending subtree size.  A vertex's rows are held
-    only until its last (largest) child's rows are derived, and a leaf's
-    are never held.  A held vertex's pending subtree is then at most half
-    its own, so apart from the rows a caller keeps, at most log2(n) + 1
-    row pairs are alive at once: a caller that keeps only the hop rows
-    never holds all the distance rows.  A yielded row is read again to
-    derive later rows, so callers must not change it.
+    Re-rooting: one BFS from vertex 0 gives hop[0], its parent row.  Every
+    other source s comes after its parent p in that BFS order.  Toward s
+    every vertex steps as it does toward p, apart from p, which steps onto
+    s, and s itself, so hop[s] is hop[p] with hop[s][p] = hop[s][s] = s.
     """
     if not is_tree(t):
-        raise GraphError("tree_rows requires a tree")
-    n = t.vertex_count
+        raise GraphError("hop_rows requires a tree")
     dist0, parent = bfs_parents(t, 0)
-    # Subtree sizes from the BFS order read backwards.
-    bfs_order = sorted(range(n), key=dist0.__getitem__)
-    size = [1] * n
-    for v in reversed(bfs_order[1:]):
-        size[parent[v]] += size[v]
-    # Children by ascending subtree size, so the largest one comes last.
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in bfs_order[1:]:
-        children[parent[v]].append(v)
-    for kids in children:
-        kids.sort(key=size.__getitem__)
-    preorder, stack = [], [0]
-    while stack:
-        v = stack.pop()
-        preorder.append(v)
-        stack.extend(reversed(children[v]))
-    first = [0] * n  # s's subtree is preorder[first[s]:first[s] + size[s]]
-    for i, v in enumerate(preorder):
-        first[v] = i
-
-    hop0 = parent.copy()
-    hop0[0] = 0
-    held = {0: (dist0, hop0)}
-    yield 0, dist0, hop0
-    for s in preorder[1:]:
+    parent[0] = 0
+    hop = [parent] * t.vertex_count
+    for s in sorted(range(1, t.vertex_count), key=dist0.__getitem__):
         p = parent[s]
-        p_dist, p_hop = held.pop(p) if children[p][-1] == s else held[p]
-        dist = [d + 1 for d in p_dist]
-        for v in preorder[first[s]:first[s] + size[s]]:
-            dist[v] -= 2
-        hop = p_hop.copy()
-        hop[p] = hop[s] = s
-        if children[s]:
-            held[s] = dist, hop
-        yield s, dist, hop
+        row = hop[s] = hop[p].copy()
+        row[p] = row[s] = s
+    return hop
+
+
+def dist_rows(t: Graph, hop: list[list[int]]) -> list[list[int]]:
+    """dist[s] for every source s of a tree: dist[s][v] is the distance
+    from s to v.  `hop` is the tree's hop_rows.
+
+    One BFS from vertex 0 gives dist[0].  Every other source s comes after
+    its parent p = hop[0][s] in that BFS order.  Seen from s instead of p,
+    a vertex v comes one step closer when the first step from p toward v
+    is s (hop[v][p] == s), and moves one step away otherwise.
+    """
+    if not is_tree(t):
+        raise GraphError("dist_rows requires a tree")
+    dist0 = bfs_distances(t, 0)
+    dist = [dist0] * t.vertex_count
+    for s in sorted(range(1, t.vertex_count), key=dist0.__getitem__):
+        p = hop[0][s]
+        dist[s] = [d - 1 if row[p] == s else d + 1 for d, row in zip(dist[p], hop)]
+    return dist
 
 
 def add_leaf(t: Graph, at: int) -> Graph:

@@ -17,7 +17,7 @@ from treecops import (
     star_graph,
 )
 from treecops.graphs import bfs_parents
-from treecops.trees import tree_rows
+from treecops.trees import dist_rows, hop_rows
 
 
 def test_build_path2():
@@ -181,10 +181,11 @@ def _walk_is_descendant(depth, parent, ancestor, v):
 
 
 def _rows_by_source(t):
-    """tree_rows' distance and hop rows, each list indexed by source."""
-    rows = sorted(tree_rows(t), key=lambda row: row[0])
-    assert [source for source, _, _ in rows] == list(range(t.vertex_count))
-    return [dist for _, dist, _ in rows], [hop for _, _, hop in rows]
+    """The tree's distance and hop rows, each list indexed by source."""
+    hop = hop_rows(t)
+    dist = dist_rows(t, hop)
+    assert len(dist) == len(hop) == t.vertex_count
+    return dist, hop
 
 
 _NAVIGATION_TREES = [random_tree(n, seed) for n, seed in ((9, 1), (14, 2), (23, 3), (31, 4))]
@@ -219,7 +220,17 @@ def test_next_hop_table_matches_step_toward(t):
 
 def test_next_hop_table_rejects_non_trees():
     with pytest.raises(GraphError):
-        list(tree_rows(grid_graph(2, 2)))
+        hop_rows(grid_graph(2, 2))
+
+
+def test_both_row_tables_reject_non_trees():
+    # dist_rows is given a BFS parent row per source, as hop rows would be.
+    g = grid_graph(2, 3)
+    hop = [bfs_parents(g, s)[1] for s in range(g.vertex_count)]
+    with pytest.raises(GraphError, match="hop_rows requires a tree"):
+        hop_rows(g)
+    with pytest.raises(GraphError, match="dist_rows requires a tree"):
+        dist_rows(g, hop)
 
 
 _REROOTED_TREES = [path_graph(2), path_graph(60), path_graph(500), star_graph(40), star_graph(500)]
@@ -231,20 +242,10 @@ _REROOTED_TREES += [add_leaf(t, diametral_path(t)[-1]) for t in (random_tree(499
 
 @pytest.mark.parametrize("t", _REROOTED_TREES, ids=lambda t: f"n{t.vertex_count}")
 def test_rerooted_rows_equal_bfs_rows(t):
-    # Every re-rooted row pair is the one a BFS from its source gives, and
-    # the sources come once each, in a depth-first preorder from vertex 0.
-    parent0 = bfs_parents(t, 0)[1]
-    path = []
-    for source, dist, hop in tree_rows(t):
+    # Every re-rooted row pair is the one a BFS from its source gives.
+    dist, hop = _rows_by_source(t)
+    for source in range(t.vertex_count):
         want_dist, want_hop = bfs_parents(t, source)
         want_hop[source] = source
-        assert dist == want_dist
-        assert hop == want_hop
-        if not path:
-            assert source == 0
-        else:
-            while path and path[-1] != parent0[source]:
-                path.pop()
-            assert path, f"source {source} does not follow its parent's subtree"
-        path.append(source)
-    assert sorted(s for s, _, _ in tree_rows(t)) == list(range(t.vertex_count))
+        assert dist[source] == want_dist
+        assert hop[source] == want_hop

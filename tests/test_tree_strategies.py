@@ -276,6 +276,19 @@ def test_tree_chase_rejects_a_non_tree():
         TreeChaseCop(cycle_graph(4))
 
 
+def test_tree_chase_builds_no_distance_rows(monkeypatch):
+    # Stepping toward the robber needs hop rows only.
+    from treecops import tree_strategies
+
+    def no_distance_rows(*args):
+        raise AssertionError("TreeChaseCop built distance rows")
+
+    monkeypatch.setattr(tree_strategies, "dist_rows", no_distance_rows)
+    t = random_tree(60, 4)
+    got = best_response_length(t, GameConfig(cop_count=1), TreeChaseCop(t))
+    assert got == (diameter(t) + 1) // 2
+
+
 def test_two_cop_works_cops_first_order():
     # The guarantee is stated for robber-first play, but the responder
     # only looks at positions, so cops-first cannot be worse.
